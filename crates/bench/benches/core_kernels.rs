@@ -8,7 +8,7 @@ use sim_core::branch::BranchPredictor;
 use sim_core::cache::Cache;
 use sim_core::config::{BranchConfig, CacheConfig, SimConfig};
 use sim_core::engine::Simulator;
-use sim_core::isa::{DynInst, OpClass};
+use sim_core::isa::{DynInst, InstStream, OpClass};
 use workloads::{benchmark, InputSet, Interp};
 
 fn tiny_program() -> workloads::Program {
@@ -31,26 +31,14 @@ fn bench_simulator_modes(c: &mut Criterion) {
             BatchSize::PerIteration,
         )
     });
-    // The dyn-dispatch entry point: measures what monomorphization buys.
+    // Through a trait object: measures what monomorphization buys.
     g.bench_function("detailed_dyn", |b| {
         b.iter_batched(
             || (Simulator::new(SimConfig::table3(2)), Interp::new(&program)),
-            |(mut sim, mut s)| sim.run_detailed_dyn(&mut s, u64::MAX),
-            BatchSize::PerIteration,
-        )
-    });
-    // Serial fetch (no decode-buffer batching): the pre-batching refill
-    // cost. The env var is read at Simulator construction, so setting it
-    // in the setup closure is race-free within this single-threaded bench.
-    g.bench_function("detailed_batch1", |b| {
-        b.iter_batched(
-            || {
-                std::env::set_var("SIM_FETCH_BATCH", "1");
-                let sim = Simulator::new(SimConfig::table3(2));
-                std::env::remove_var("SIM_FETCH_BATCH");
-                (sim, Interp::new(&program))
+            |(mut sim, mut s)| {
+                let s: &mut dyn InstStream = &mut s;
+                sim.run_detailed(s, u64::MAX)
             },
-            |(mut sim, mut s)| sim.run_detailed(&mut s, u64::MAX),
             BatchSize::PerIteration,
         )
     });

@@ -11,18 +11,6 @@ use techniques::smarts::initial_n;
 use techniques::TechniqueSpec;
 use workloads::Interp;
 
-/// Consume and discard `n` instructions; returns how many were consumed.
-fn consume(stream: &mut dyn InstStream, n: u64) -> u64 {
-    let mut c = 0;
-    while c < n {
-        if stream.next_inst().is_none() {
-            break;
-        }
-        c += 1;
-    }
-    c
-}
-
 /// The basic-block profile of exactly the instructions a technique
 /// *measures* (its detailed-measurement windows), in the reference
 /// program's block-id space — except for reduced inputs, which measure
@@ -44,13 +32,13 @@ pub fn measured_profile(spec: &TechniqueSpec, prep: &PreparedBench) -> Option<Ag
         TechniqueSpec::FfRun { x, z } => {
             let program = prep.reference();
             let mut s = Interp::new(program);
-            consume(&mut s, *x);
+            s.skip_n(*x);
             Some(profile_stream(&mut s, program, *z))
         }
         TechniqueSpec::FfWuRun { x, y, z } => {
             let program = prep.reference();
             let mut s = Interp::new(program);
-            consume(&mut s, *x + *y);
+            s.skip_n(*x + *y);
             Some(profile_stream(&mut s, program, *z))
         }
         TechniqueSpec::SimPoint {
@@ -64,7 +52,7 @@ pub fn measured_profile(spec: &TechniqueSpec, prep: &PreparedBench) -> Option<Ag
             for p in &plan.points {
                 let start = p.index * plan.interval;
                 if start > pos {
-                    pos += consume(&mut s, start - pos);
+                    pos += s.skip_n(start - pos);
                 }
                 let part = profile_stream(&mut s, program, plan.interval);
                 pos += part.total_insts;
@@ -101,7 +89,7 @@ pub fn measured_profile(spec: &TechniqueSpec, prep: &PreparedBench) -> Option<Ag
                 if start < pos {
                     continue;
                 }
-                pos += consume(&mut s, start + w - pos);
+                pos += s.skip_n(start + w - pos);
                 let part = profile_stream(&mut s, program, *u);
                 pos += part.total_insts;
                 if part.total_insts == 0 {
@@ -129,7 +117,7 @@ pub fn measured_profile(spec: &TechniqueSpec, prep: &PreparedBench) -> Option<Ag
                 total_insts: 0,
             };
             loop {
-                if consume(&mut s, period - u) < period - u {
+                if s.skip_n(period - u) < period - u {
                     break;
                 }
                 let part = profile_stream(&mut s, program, *u);

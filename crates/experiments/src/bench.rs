@@ -391,9 +391,9 @@ pub fn convert_legacy(file_label: &str, text: &str) -> Result<Vec<(String, Probe
                 .next()
                 .unwrap_or(workload)
                 .to_lowercase();
-            // Two rows can share a leading word ("gzip" and "gzip,
-            // SIM_TRACE_CACHE=0"); suffix duplicates instead of silently
-            // keeping only the last.
+            // Two rows can share a leading word ("gzip" and "gzip, with
+            // some knob set"); suffix duplicates instead of silently keeping
+            // only the last.
             let mut key = format!("legacy.{prefix}run_detailed.{short}.ns_per_inst");
             let mut dup = 1;
             while out.iter().any(|(n, _)| *n == key) {

@@ -419,7 +419,7 @@ fn kmeans_assign_pass() -> f64 {
 
 /// One tag-probe pass over a warm 8-way 1 MiB cache: ns per
 /// [`sim_core::cache::Cache::probe_way`] call on a mixed hit/miss address
-/// stream (the kernel the SIMD tag repack accelerates).
+/// stream.
 fn tag_probe_pass() -> f64 {
     use sim_core::cache::Cache;
     use sim_core::config::CacheConfig;

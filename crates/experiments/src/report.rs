@@ -641,30 +641,28 @@ pub fn human(ledger: &Ledger) -> String {
             Some(r) => {
                 let _ = writeln!(
                     out,
-                    "  trace cache: {:.1}% hit ({} hits / {} misses), {} evictions, {} B held",
+                    "  trace cache: {:.1}% hit ({} hits / {} misses), {} B held",
                     r * 100.0,
                     get("pipeline.trace_cache.hit"),
                     get("pipeline.trace_cache.miss"),
-                    get("pipeline.trace_cache.evict"),
                     get("pipeline.trace_cache.bytes"),
                 );
             }
             None => {
-                let _ = writeln!(out, "  trace cache: no lookups (SIM_TRACE_CACHE=0?)");
+                let _ = writeln!(out, "  trace cache: no lookups");
             }
         }
-        // Functional-warming kernel counters (PR 10). Emitted only when an
-        // optimization actually fired, so their absence just means the
-        // lanes/filter/SIMD knobs were off (or no warming ran).
+        // Functional-warming kernel counters, present once warming ran.
+        // (Older ledgers may also carry `warm.simd_probes` and
+        // `pipeline.trace_cache.evict`; they are echoed in the JSON
+        // `pipeline` object like any other counter.)
         let warm_refills = get("warm.block_refills");
         let warm_filter = get("warm.filter_hits");
-        let warm_simd = get("warm.simd_probes");
-        if warm_refills + warm_filter + warm_simd > 0 {
+        if warm_refills + warm_filter > 0 {
             let _ = writeln!(out, "warming:");
             let _ = writeln!(
                 out,
-                "  block refills: {warm_refills}, line-filter hits: {warm_filter}, \
-                 simd tag probes: {warm_simd}",
+                "  block refills: {warm_refills}, line-filter hits: {warm_filter}",
             );
         }
     }
@@ -809,16 +807,11 @@ pub fn to_json(ledger: &Ledger) -> String {
             hit_ratio.map_or("null".to_string(), |r| json::num(r).to_string()),
         );
         let get = |k: &str| metrics.get(k).copied().unwrap_or(0);
-        let (refills, filter, simd) = (
-            get("warm.block_refills"),
-            get("warm.filter_hits"),
-            get("warm.simd_probes"),
-        );
-        if refills + filter + simd > 0 {
+        let (refills, filter) = (get("warm.block_refills"), get("warm.filter_hits"));
+        if refills + filter > 0 {
             let _ = write!(
                 out,
-                ",\"warming\":{{\"block_refills\":{refills},\"filter_hits\":{filter},\
-                 \"simd_probes\":{simd}}}",
+                ",\"warming\":{{\"block_refills\":{refills},\"filter_hits\":{filter}}}",
             );
         }
     }
@@ -963,9 +956,10 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// A metrics footer carrying the PR 10 warming counters plus a new
-    /// histogram key, as a lanes-on warming run emits them.
-    const WARM_FOOTER: &str = r#"{"v":1,"meta":"metrics","metrics":{"warm.block_refills":40,"warm.filter_hits":900,"warm.simd_probes":1200},"hist":{"hist.tcache.probe_ns":{"count":1,"sum":80,"max":80,"buckets":[[7,1]]}}}"#;
+    /// A metrics footer carrying the warming counters plus a histogram key.
+    /// It also carries `warm.simd_probes` and `pipeline.trace_cache.evict`,
+    /// counters only older ledgers have: they must still load and check.
+    const WARM_FOOTER: &str = r#"{"v":1,"meta":"metrics","metrics":{"pipeline.trace_cache.evict":3,"warm.block_refills":40,"warm.filter_hits":900,"warm.simd_probes":1200},"hist":{"hist.tcache.probe_ns":{"count":1,"sum":80,"max":80,"buckets":[[7,1]]}}}"#;
 
     #[test]
     fn report_renders_warming_section_only_when_counters_fired() {
@@ -975,7 +969,6 @@ mod tests {
         assert!(text.contains("warming:"), "{text}");
         assert!(text.contains("block refills: 40"), "{text}");
         assert!(text.contains("line-filter hits: 900"), "{text}");
-        assert!(text.contains("simd tag probes: 1200"), "{text}");
         let j = sim_obs::json::Json::parse(&to_json(&ledger)).expect("json parses");
         assert_eq!(
             j.get("warming")
@@ -998,8 +991,7 @@ mod tests {
 
     #[test]
     fn canon_strips_warming_footers_and_histogram_keys() {
-        // The determinism contract behind the CI lanes-on/lanes-off diff:
-        // a ledger whose footers carry the new warming counters and the
+        // A ledger whose footers carry the warming counters and the
         // decode-time histogram canonicalizes identically to one with no
         // footers at all.
         let plain = write_ledger("canon-warm-a", &[RECORD]);

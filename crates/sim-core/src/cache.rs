@@ -86,101 +86,18 @@ pub struct Cache {
     lines: Vec<Line>,
     /// Packed `(tag << 1) | valid` per way, mirroring `lines`. Tag probes
     /// scan this dense array — one host cache line per simulated set —
-    /// instead of striding over the full `Line` records. When the SIMD
-    /// probe is active each set is padded to [`Cache::way_stride`] entries;
-    /// pad entries stay `0` and can never match a probe (`want` always has
-    /// the valid bit set). Derived state: rebuilt on load, never serialized.
+    /// instead of striding over the full `Line` records. Derived state:
+    /// rebuilt on load, never serialized.
     tagv: Vec<u64>,
     assoc: usize,
-    /// Entries per set in `tagv`: `assoc` on the scalar path, `assoc`
-    /// rounded up to a full 8-lane vector group on the SIMD path.
-    way_stride: usize,
     /// Per-set most-recent-hit way, checked before the full tag scan.
     /// Purely a probe accelerator (a stale hint just misses and falls
     /// through); derived state, zeroed on load/reset, never serialized.
     way_hint: Vec<u16>,
-    probe_impl: TagProbe,
-    /// Demand accesses whose tag scan went through a SIMD probe path
-    /// (host-side observability; drained by [`Cache::take_simd_probes`]).
-    simd_probes: u64,
     set_mask: u64,
     line_shift: u32,
     stamp: u64,
     stats: CacheStats,
-}
-
-/// Which tag-probe body [`Cache::probe_way`] dispatches to, resolved once
-/// at construction from `SIM_SIMD_TAGS` and runtime CPU feature detection
-/// (same pattern as `simstats::kernel`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TagProbe {
-    Scalar,
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-    #[cfg(target_arch = "x86_64")]
-    Avx512,
-}
-
-impl TagProbe {
-    fn detect() -> Self {
-        #[cfg(target_arch = "x86_64")]
-        if sim_obs::env_flag("SIM_SIMD_TAGS", true) {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                return TagProbe::Avx512;
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return TagProbe::Avx2;
-            }
-        }
-        TagProbe::Scalar
-    }
-}
-
-/// One 8-entry tag group per iteration: two 256-bit compares, movemask,
-/// lowest set bit is the matching way. Pad entries are `0` and `want` is
-/// odd (valid bit), so padding can never match; per-set tag uniqueness
-/// means any match is *the* match.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn probe_tags_avx2(tags: &[u64], want: u64) -> Option<usize> {
-    use core::arch::x86_64::*;
-    debug_assert_eq!(tags.len() % 8, 0, "tag groups are padded to 8 lanes");
-    let needle = _mm256_set1_epi64x(want as i64);
-    let mut i = 0;
-    while i < tags.len() {
-        // SAFETY: `i + 8 <= tags.len()` and loads are unaligned-tolerant.
-        let p = tags.as_ptr().add(i);
-        let lo = _mm256_cmpeq_epi64(_mm256_loadu_si256(p.cast()), needle);
-        let hi = _mm256_cmpeq_epi64(_mm256_loadu_si256(p.add(4).cast()), needle);
-        let m = (_mm256_movemask_pd(_mm256_castsi256_pd(lo)) as u32)
-            | ((_mm256_movemask_pd(_mm256_castsi256_pd(hi)) as u32) << 4);
-        if m != 0 {
-            return Some(i + m.trailing_zeros() as usize);
-        }
-        i += 8;
-    }
-    None
-}
-
-/// AVX-512 flavour of [`probe_tags_avx2`]: one 512-bit compare-to-mask per
-/// 8-entry group.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn probe_tags_avx512(tags: &[u64], want: u64) -> Option<usize> {
-    use core::arch::x86_64::*;
-    debug_assert_eq!(tags.len() % 8, 0, "tag groups are padded to 8 lanes");
-    let needle = _mm512_set1_epi64(want as i64);
-    let mut i = 0;
-    while i < tags.len() {
-        // SAFETY: `i + 8 <= tags.len()` and loadu tolerates any alignment.
-        let v = _mm512_loadu_si512(tags.as_ptr().add(i).cast());
-        let m = _mm512_cmpeq_epi64_mask(v, needle);
-        if m != 0 {
-            return Some(i + m.trailing_zeros() as usize);
-        }
-        i += 8;
-    }
-    None
 }
 
 impl Cache {
@@ -192,20 +109,11 @@ impl Cache {
         cfg.validate().expect("invalid cache geometry");
         let sets = cfg.num_sets();
         let assoc = cfg.assoc as usize;
-        let probe_impl = TagProbe::detect();
-        let way_stride = match probe_impl {
-            TagProbe::Scalar => assoc,
-            #[cfg(target_arch = "x86_64")]
-            _ => assoc.div_ceil(8) * 8,
-        };
         Cache {
             lines: vec![Line::default(); sets as usize * assoc],
-            tagv: vec![0; sets as usize * way_stride],
+            tagv: vec![0; sets as usize * assoc],
             assoc,
-            way_stride,
             way_hint: vec![0; sets as usize],
-            probe_impl,
-            simd_probes: 0,
             set_mask: sets - 1,
             line_shift: cfg.line_bytes.trailing_zeros(),
             stamp: 0,
@@ -284,9 +192,6 @@ impl Cache {
     pub fn access_at(&mut self, addr: Addr, write: bool, way: Option<usize>) -> AccessResult {
         self.stamp += 1;
         self.stats.accesses += 1;
-        if self.probe_impl != TagProbe::Scalar {
-            self.simd_probes += 1;
-        }
         let set = self.set_idx(addr);
         let tag = self.tag_of(addr);
         debug_assert_eq!(way, self.probe_way(addr), "stale probe_way hint");
@@ -333,11 +238,6 @@ impl Cache {
         self.stats.accesses += 1;
     }
 
-    /// Drain the SIMD-probed demand-access counter (host-side metrics).
-    pub fn take_simd_probes(&mut self) -> u64 {
-        std::mem::take(&mut self.simd_probes)
-    }
-
     /// Check for presence without updating replacement state or statistics.
     pub fn probe(&self, addr: Addr) -> bool {
         self.probe_way(addr).is_some()
@@ -347,27 +247,30 @@ impl Cache {
     /// Feed the result to [`Cache::access_at`] to avoid a second tag scan.
     ///
     /// The scan is seeded with the set's last-hit way (exact: the hint is
-    /// only trusted when its tag entry matches) and otherwise dispatches to
-    /// the SIMD body picked at construction.
+    /// only trusted when its tag entry matches). The scan itself folds
+    /// eight compares at a time into a bit mask, so where in the set the
+    /// line sits costs no mispredicted branch; tags are unique within a
+    /// set, so any match is *the* match.
     #[inline]
     pub fn probe_way(&self, addr: Addr) -> Option<usize> {
         let set = self.set_idx(addr);
         let want = (self.tag_of(addr) << 1) | 1;
-        let base = set * self.way_stride;
+        let base = set * self.assoc;
+        let ways = &self.tagv[base..base + self.assoc];
         let hint = self.way_hint[set] as usize;
-        if hint < self.assoc && self.tagv[base + hint] == want {
+        if ways.get(hint) == Some(&want) {
             return Some(hint);
         }
-        let group = &self.tagv[base..base + self.way_stride];
-        match self.probe_impl {
-            TagProbe::Scalar => group.iter().position(|&t| t == want),
-            // SAFETY: the variant was selected under the matching
-            // `is_x86_feature_detected!` check in `TagProbe::detect`.
-            #[cfg(target_arch = "x86_64")]
-            TagProbe::Avx2 => unsafe { probe_tags_avx2(group, want) },
-            #[cfg(target_arch = "x86_64")]
-            TagProbe::Avx512 => unsafe { probe_tags_avx512(group, want) },
+        for (g, group) in ways.chunks(8).enumerate() {
+            let mut hits = 0u32;
+            for (w, &t) in group.iter().enumerate() {
+                hits |= u32::from(t == want) << w;
+            }
+            if hits != 0 {
+                return Some(8 * g + hits.trailing_zeros() as usize);
+            }
         }
+        None
     }
 
     /// Host-side software prefetch of the tag-mirror line for `addr`'s set.
@@ -378,7 +281,7 @@ impl Cache {
     pub fn prefetch_tags(&self, addr: Addr) {
         #[cfg(target_arch = "x86_64")]
         unsafe {
-            let base = self.set_idx(addr) * self.way_stride;
+            let base = self.set_idx(addr) * self.assoc;
             core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(
                 self.tagv.as_ptr().add(base).cast(),
             );
@@ -445,7 +348,7 @@ impl Cache {
             ready_at,
             stamp: self.stamp,
         };
-        self.tagv[set * self.way_stride + victim] = (tag << 1) | 1;
+        self.tagv[set * self.assoc + victim] = (tag << 1) | 1;
         self.way_hint[set] = victim as u16;
         writeback
     }
@@ -588,8 +491,7 @@ impl Cache {
         if r.get_usize()? != c.lines.len() {
             return Err(StateError::Invalid("cache geometry mismatch"));
         }
-        // The tag mirror is derived state: rebuild it at this binary's own
-        // stride (snapshots carry no layout, so SIMD on/off interoperate).
+        // The tag mirror is derived state: rebuilt, never serialized.
         for i in 0..c.lines.len() {
             let l = Line {
                 tag: r.get_u64()?,
@@ -599,7 +501,7 @@ impl Cache {
                 ready_at: r.get_u64()?,
                 stamp: r.get_u64()?,
             };
-            c.tagv[(i / c.assoc) * c.way_stride + i % c.assoc] = (l.tag << 1) | u64::from(l.valid);
+            c.tagv[i] = (l.tag << 1) | u64::from(l.valid);
             c.lines[i] = l;
         }
         c.stats = CacheStats {
@@ -809,7 +711,7 @@ mod tests {
     }
 
     /// Ground truth for `probe_way` straight from the `Line` records,
-    /// bypassing the tag mirror, the way hint, and the SIMD dispatch.
+    /// bypassing the tag mirror and the way hint.
     fn reference_way(c: &Cache, addr: Addr) -> Option<usize> {
         let base = c.set_idx(addr) * c.assoc;
         let tag = c.tag_of(addr);
@@ -820,8 +722,8 @@ mod tests {
 
     #[test]
     fn probe_way_matches_line_records_under_pressure() {
-        // 8-way so the padded SIMD group is fully populated; enough
-        // distinct lines to force evictions and stale way hints.
+        // 8-way, with enough distinct lines to force evictions and stale
+        // way hints.
         let mut c = Cache::new(CacheConfig {
             size_bytes: 4096,
             assoc: 8,
@@ -843,7 +745,7 @@ mod tests {
     }
 
     #[test]
-    fn load_state_rebuilds_padded_tag_mirror() {
+    fn load_state_rebuilds_tag_mirror() {
         let mut c = Cache::new(CacheConfig {
             size_bytes: 1024,
             assoc: 4,

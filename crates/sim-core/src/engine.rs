@@ -9,7 +9,7 @@
 
 use crate::branch::BranchPredictor;
 use crate::config::SimConfig;
-use crate::isa::{Addr, DynInst, InstStream, OpClass, WarmSink};
+use crate::isa::{Addr, DynInst, InstStream, WarmSink};
 use crate::memory::MemoryHierarchy;
 use crate::pipeline::Core;
 use crate::state::{ByteReader, ByteWriter, StateError};
@@ -24,13 +24,9 @@ use crate::stats::SimStats;
 pub struct Simulator {
     core: Core,
     warm_last_line: u64,
-    /// `SIM_WARM_LANES` gate: route [`Simulator::warm_functional`] through
-    /// the stream's block-lane path instead of per-instruction dispatch.
-    /// Host-side only — warmed state is bit-identical either way.
-    warm_lanes: bool,
 }
 
-/// Control ops the lane path defers per predictor flush. The predictor
+/// Control ops the warm path defers per predictor flush. The predictor
 /// shares no state with the caches or TLBs, so batching control ops while
 /// preserving their relative order is transition-exact (both entry points
 /// run the same `process_in` body; see `BranchPredictor::process_batch`).
@@ -90,7 +86,6 @@ impl Simulator {
         Simulator {
             core: Core::new(cfg),
             warm_last_line: u64::MAX,
-            warm_lanes: sim_obs::env_flag("SIM_WARM_LANES", true),
         }
     }
 
@@ -105,8 +100,7 @@ impl Simulator {
     ///
     /// Generic over the stream so concrete streams (e.g. the `workloads`
     /// interpreter) skip through their [`InstStream::skip_n`] fast path with
-    /// no per-instruction virtual dispatch; `&mut dyn InstStream` works too
-    /// ([`Simulator::skip_dyn`] is the explicit dyn entry point).
+    /// no per-instruction virtual dispatch; `&mut dyn InstStream` works too.
     /// Instructions already pulled into the decode buffer logically precede
     /// the stream's next output, so they are skipped (discarded) first —
     /// the machine's logical position stays exactly where an unbuffered
@@ -122,94 +116,49 @@ impl Simulator {
         consumed
     }
 
-    /// Trait-object entry point for [`Simulator::skip`].
-    pub fn skip_dyn(&mut self, stream: &mut dyn InstStream, n: u64) -> u64 {
-        self.skip(stream, n)
-    }
-
     /// Functionally warm `n` instructions: branch predictor, caches, and
     /// TLBs are updated, but no cycles are simulated (SMARTS's functional
     /// warming). Returns how many instructions were consumed.
     ///
     /// Generic for the same reason as [`Simulator::skip`]: callers holding a
     /// concrete stream get a monomorphized loop with no per-instruction
-    /// virtual dispatch.
-    /// Buffered-but-unfetched instructions in the decode buffer drain first,
-    /// through the identical warming path — they are exactly the
-    /// instructions an unbuffered machine would have pulled from the stream
-    /// at this point, so warmed state is batch-independent.
+    /// virtual dispatch. Every instruction goes through one
+    /// [`WarmSink`]: buffered-but-unfetched instructions in the decode
+    /// buffer drain first — they are exactly the instructions an unbuffered
+    /// machine would have pulled from the stream at this point, so warmed
+    /// state is batch-independent — and the rest arrive one stream chunk at
+    /// a time through [`InstStream::warm_block`].
     pub fn warm_functional<S: InstStream + ?Sized>(&mut self, stream: &mut S, n: u64) -> u64 {
         let mut span = sim_obs::trace::span(sim_obs::Phase::FunctionalWarm);
-        // Hoist the loop invariants: the line mask is a config read and the
-        // memory/bpred handles borrow-check cleanly outside the hot loop.
         let line_mask = !(self.core.config().l1i.line_bytes - 1);
-        let mut consumed = 0;
-        // Buffered-but-unfetched instructions logically precede the stream's
-        // next output; drain them through the scalar path first.
+        let (buffered, mem, bpred) = self.core.take_unfetched_for_warming(n);
+        let mut sink = WarmBatchSink {
+            mem,
+            bpred,
+            warm_last_line: &mut self.warm_last_line,
+            line_mask,
+            ctrl: Vec::with_capacity(CTRL_BATCH),
+        };
+        // The buffered instructions are already materialized: the default
+        // `warm_block` classifies them one at a time into the same sink.
+        let mut consumed = buffered.iter().copied().warm_block(&mut sink, line_mask, n);
+        let mut refills = 0u64;
         while consumed < n {
-            let Some(inst) = self.core.pop_unfetched() else {
+            let got = stream.warm_block(&mut sink, line_mask, n - consumed);
+            if got == 0 {
                 break;
-            };
-            consumed += 1;
-            self.warm_one(&inst, line_mask);
-        }
-        if self.warm_lanes {
-            let mut refills = 0u64;
-            let mut sink = WarmBatchSink {
-                mem: &mut self.core.mem,
-                bpred: &mut self.core.bpred,
-                warm_last_line: &mut self.warm_last_line,
-                line_mask,
-                ctrl: Vec::with_capacity(CTRL_BATCH),
-            };
-            // Each call consumes one stream chunk (a cached decoded block,
-            // for streams that have them) through the lane protocol.
-            while consumed < n {
-                let got = stream.warm_block(&mut sink, line_mask, n - consumed);
-                if got == 0 {
-                    break;
-                }
-                refills += 1;
-                consumed += got;
             }
-            sink.flush_ctrl();
-            self.flush_warm_metrics(refills);
-        } else {
-            while consumed < n {
-                let Some(inst) = stream.next_inst() else {
-                    break;
-                };
-                consumed += 1;
-                self.warm_one(&inst, line_mask);
-            }
-            self.flush_warm_metrics(0);
+            refills += 1;
+            consumed += got;
         }
+        sink.flush_ctrl();
+        self.flush_warm_metrics(refills);
         span.add_insts(consumed);
         consumed
     }
 
-    /// The scalar warming step: one instruction through the I-side filter,
-    /// the predictor, and the data hierarchy. The lane path is exactly this
-    /// state transition, reordered only where components are disjoint.
-    #[inline]
-    fn warm_one(&mut self, inst: &DynInst, line_mask: u64) {
-        let line = inst.pc & line_mask;
-        if line != self.warm_last_line {
-            self.warm_last_line = line;
-            self.core.mem.warm_inst(inst.pc);
-        }
-        if inst.op.is_control() {
-            let _ = self.core.bpred.process(inst);
-        } else if inst.op.is_mem() {
-            self.core
-                .mem
-                .warm_data(inst.mem_addr, inst.op == OpClass::Store);
-        }
-    }
-
     /// Drain the host-side warming observability counters into the metrics
-    /// registry. Keys are only created when an optimization actually fired,
-    /// so reports with the knobs off carry no new keys.
+    /// registry. Keys are only created when an optimization actually fired.
     fn flush_warm_metrics(&mut self, refills: u64) {
         if refills > 0 {
             sim_obs::metrics::counter("warm.block_refills").add(refills);
@@ -218,15 +167,6 @@ impl Simulator {
         if filter_hits > 0 {
             sim_obs::metrics::counter("warm.filter_hits").add(filter_hits);
         }
-        let simd_probes = self.core.mem.take_simd_probes();
-        if simd_probes > 0 {
-            sim_obs::metrics::counter("warm.simd_probes").add(simd_probes);
-        }
-    }
-
-    /// Trait-object entry point for [`Simulator::warm_functional`].
-    pub fn warm_functional_dyn(&mut self, stream: &mut dyn InstStream, n: u64) -> u64 {
-        self.warm_functional(stream, n)
     }
 
     /// Detailed cycle-level simulation of up to `n` further committed
@@ -235,15 +175,9 @@ impl Simulator {
     /// Generic so callers holding a concrete stream (the `workloads`
     /// interpreter, trace readers) get a fully monomorphized hot loop —
     /// fetch inlines the stream's batched [`InstStream::next_block`] with no
-    /// per-instruction virtual dispatch. [`Simulator::run_detailed_dyn`] is
-    /// the trait-object entry point.
+    /// per-instruction virtual dispatch; `&mut dyn InstStream` works too.
     pub fn run_detailed<S: InstStream + ?Sized>(&mut self, stream: &mut S, n: u64) -> u64 {
         self.core.run_detailed(stream, n)
-    }
-
-    /// Trait-object entry point for [`Simulator::run_detailed`].
-    pub fn run_detailed_dyn(&mut self, stream: &mut dyn InstStream, n: u64) -> u64 {
-        self.core.run_detailed_dyn(stream, n)
     }
 
     /// Number of instructions sitting in the core's fetch-ahead decode
@@ -341,7 +275,6 @@ impl Simulator {
         Ok(Simulator {
             core,
             warm_last_line,
-            warm_lanes: sim_obs::env_flag("SIM_WARM_LANES", true),
         })
     }
 }
@@ -349,7 +282,7 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::isa::DynInst;
+    use crate::isa::{DynInst, OpClass};
 
     /// Loads over a 64-line region with a small code loop.
     fn loads(n: usize) -> Vec<DynInst> {
@@ -554,5 +487,33 @@ mod tests {
         let mut other = SimConfig::default();
         other.l1d.size_bytes *= 2;
         assert!(Simulator::load_state(other, &bytes).is_err());
+    }
+
+    #[test]
+    fn decode_buffer_capacity_never_changes_results() {
+        // Refills are free in simulated time: a one-instruction decode
+        // buffer and the production one must simulate, warm, and skip
+        // identically, down to the serialized machine state.
+        let insts = mixed(12_000);
+        let run = |fetch_batch: usize| {
+            let mut sim = Simulator {
+                core: Core::with_fetch_batch(SimConfig::table3(2), fetch_batch),
+                warm_last_line: u64::MAX,
+            };
+            let mut s = insts.clone().into_iter();
+            sim.run_detailed(&mut s, 2_500);
+            // Leaves a partly consumed decode buffer for warm and skip to
+            // drain first.
+            sim.warm_functional(&mut s, 1_500);
+            sim.run_detailed(&mut s, 2_000);
+            sim.skip(&mut s, 777);
+            sim.run_detailed(&mut s, u64::MAX);
+            (sim.stats(), sim.save_state())
+        };
+        let (stats_1, bytes_1) = run(1);
+        let (stats_64, bytes_64) = run(64);
+        assert_eq!(stats_1, stats_64);
+        assert!(bytes_1 == bytes_64, "save_state bytes differ");
+        assert_eq!(stats_64.core.committed, 12_000 - 1_500 - 777);
     }
 }

@@ -69,8 +69,9 @@ pub struct MemoryHierarchy {
     /// Whether `last_data_line` is known dirty (conservative lower bound;
     /// a filtered store must not need to set the dirty bit).
     last_data_dirty: bool,
-    /// `SIM_LINE_FILTER` gate; filter *state* is maintained either way so
-    /// serialized snapshots agree across the knob.
+    /// Test-only switch for the filtered-vs-unfiltered equivalence test;
+    /// filter *state* is maintained either way.
+    #[cfg(test)]
     filter_enabled: bool,
     /// Data accesses short-circuited by the filter (host-side
     /// observability; drained by [`MemoryHierarchy::take_filter_hits`]).
@@ -102,15 +103,17 @@ impl MemoryHierarchy {
             stats: MemStats::default(),
             last_data_line: FILTER_NONE,
             last_data_dirty: false,
-            filter_enabled: sim_obs::env_flag("SIM_LINE_FILTER", true),
+            #[cfg(test)]
+            filter_enabled: true,
             filter_hits: 0,
         }
     }
 
-    /// Enable/disable the line-skip fast path (testing and diagnostics;
-    /// normally driven by `SIM_LINE_FILTER`). State updates and statistics
-    /// are bit-identical either way — that is the filter's contract.
-    pub fn set_line_filter(&mut self, enabled: bool) {
+    /// Enable/disable the line-skip fast path. State updates and
+    /// statistics are bit-identical either way — that is the filter's
+    /// contract, which the unit tests check through this switch.
+    #[cfg(test)]
+    pub(crate) fn set_line_filter(&mut self, enabled: bool) {
         self.filter_enabled = enabled;
     }
 
@@ -119,21 +122,17 @@ impl MemoryHierarchy {
         std::mem::take(&mut self.filter_hits)
     }
 
-    /// Drain the SIMD-probed access counters of all three caches
-    /// (host-side metrics).
-    pub fn take_simd_probes(&mut self) -> u64 {
-        self.l1i.take_simd_probes() + self.l1d.take_simd_probes() + self.l2.take_simd_probes()
-    }
-
     /// Whether the line-skip filter would swallow a `(addr, write)` data
     /// access right now: same line as the immediately preceding data
     /// access, which left the line MRU with no pending transition, and a
     /// store only if the line is already known dirty.
     #[inline]
     fn filter_covers(&self, addr: Addr, write: bool) -> bool {
-        self.filter_enabled
-            && self.l1d.line_addr(addr) == self.last_data_line
-            && (!write || self.last_data_dirty)
+        #[cfg(test)]
+        if !self.filter_enabled {
+            return false;
+        }
+        self.l1d.line_addr(addr) == self.last_data_line && (!write || self.last_data_dirty)
     }
 
     /// Count a data access swallowed by the filter: exactly the counters a
@@ -604,7 +603,6 @@ mod tests {
     #[test]
     fn filter_never_fires_on_a_dirty_bit_flip() {
         let mut m = hierarchy();
-        m.set_line_filter(true);
         m.data_access(0x1000, false, 0); // miss: filter disarmed
         m.data_access(0x1000, false, 10); // plain read hit: filter armed, clean
         m.take_filter_hits();
@@ -623,7 +621,6 @@ mod tests {
     #[test]
     fn filter_never_fires_on_a_non_mru_hit() {
         let mut m = hierarchy();
-        m.set_line_filter(true);
         m.data_access(0x1000, false, 0);
         m.data_access(0x1000, false, 10); // arm on line 0x1000
         m.data_access(0x2000, false, 20); // miss elsewhere: disarm
@@ -640,7 +637,6 @@ mod tests {
         cfg.l1d.size_bytes = 128; // 2 direct-mapped lines of 64B
         cfg.l1d.assoc = 1;
         let mut m = MemoryHierarchy::new(&cfg);
-        m.set_line_filter(true);
         m.data_access(0x0000, false, 0);
         m.data_access(0x0000, false, 10); // arm on line 0x0000
         m.data_access(0x0080, false, 20); // same set: evicts 0x0000, disarms
@@ -659,7 +655,6 @@ mod tests {
         cfg.l1d.assoc = 2;
         let mut fast = MemoryHierarchy::new(&cfg);
         let mut slow = MemoryHierarchy::new(&cfg);
-        fast.set_line_filter(true);
         slow.set_line_filter(false);
         // A mix of repeat hits (filterable), strided misses, and stores,
         // through both the warming and the detailed entry points.

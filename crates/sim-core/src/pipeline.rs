@@ -41,9 +41,10 @@ const FLAG_SIMPLIFIED: u8 = 0b0100_0000;
 /// on deserialize, never serialized itself.
 const FLAG_TRIVIAL: u8 = 0b1000_0000;
 
-/// Default capacity of the fetch-ahead decode buffer (overridable with the
-/// `SIM_FETCH_BATCH` environment variable; clamped to `1..=65536`).
-const DEFAULT_FETCH_BATCH: usize = 64;
+/// Capacity of the fetch-ahead decode buffer. Refills are free in simulated
+/// time, so every capacity yields identical results; 64 amortizes stream
+/// dispatch over a few basic blocks.
+const FETCH_BATCH: usize = 64;
 
 /// The reorder buffer in struct-of-arrays layout: one ring buffer per field,
 /// all sized once from `SimConfig::rob_entries`. The issue/writeback/commit
@@ -594,7 +595,7 @@ pub struct Core {
     /// instructions leave the buffer, so metrics are batch-independent.
     fetch_buf: Vec<DynInst>,
     fetch_buf_pos: usize,
-    /// Decode-buffer capacity (`SIM_FETCH_BATCH`, default 64).
+    /// Decode-buffer capacity ([`FETCH_BATCH`]; tests vary it).
     fetch_batch: usize,
 
     /// Per-unit busy-until for non-pipelined integer divides.
@@ -652,9 +653,6 @@ impl Core {
     /// Panics if `cfg` fails [`SimConfig::validate`].
     pub fn new(cfg: SimConfig) -> Self {
         cfg.validate().expect("invalid simulator configuration");
-        let fetch_batch = sim_obs::env_val::<usize>("SIM_FETCH_BATCH")
-            .unwrap_or(DEFAULT_FETCH_BATCH)
-            .clamp(1, 1 << 16);
         // Size the calendar window past the longest completion latency this
         // configuration can produce (a DRAM-missing, TLB-missing access plus
         // the slowest arithmetic unit and the redirect penalty) so bucket
@@ -707,9 +705,9 @@ impl Core {
             fetch_blocked: false,
             last_fetch_line: u64::MAX,
             fetch_pending: None,
-            fetch_buf: Vec::with_capacity(fetch_batch),
+            fetch_buf: Vec::with_capacity(FETCH_BATCH),
             fetch_buf_pos: 0,
-            fetch_batch,
+            fetch_batch: FETCH_BATCH,
             int_md_busy: vec![0; cfg.int_mult_divs as usize],
             fp_md_busy: vec![0; cfg.fp_mult_divs as usize],
             tally_refills: 0,
@@ -720,6 +718,16 @@ impl Core {
             prof: sim_obs::profile::enabled().then(|| Box::new(CoreProf::new())),
             cfg,
         }
+    }
+
+    /// [`Core::new`] with a decode buffer of `fetch_batch` instructions
+    /// (capacity-invariance tests).
+    #[cfg(test)]
+    pub(crate) fn with_fetch_batch(cfg: SimConfig, fetch_batch: usize) -> Self {
+        let mut core = Core::new(cfg);
+        core.fetch_batch = fetch_batch;
+        core.fetch_buf = Vec::with_capacity(fetch_batch);
+        core
     }
 
     /// The configuration the core was built with.
@@ -745,7 +753,7 @@ impl Core {
     /// Approximate in-memory size of a snapshot of this core, in bytes —
     /// the memory hierarchy and predictor dominate; in-flight pipeline
     /// buffers are counted by occupancy. The decode buffer counts only its
-    /// unconsumed tail: its `SIM_FETCH_BATCH`-sized capacity is a per-shard
+    /// unconsumed tail: its [`FETCH_BATCH`]-sized capacity is a per-shard
     /// *working* allocation (a snapshot drains exactly the tail — see
     /// [`Core::take_unfetched`]), so counting capacity would inflate every
     /// per-shard machine's footprint by the full batch size.
@@ -781,138 +789,139 @@ impl Core {
     ///
     /// Generic over the stream so concrete streams (e.g. the `workloads`
     /// interpreter) inline into fetch with no per-instruction virtual
-    /// dispatch; [`Core::run_detailed_dyn`] is the trait-object entry point.
+    /// dispatch; `&mut dyn InstStream` works too.
     pub fn run_detailed<S: InstStream + ?Sized>(&mut self, stream: &mut S, limit: u64) -> u64 {
         if self.prof.is_some() {
             return self.run_detailed_profiled(stream, limit);
         }
-        let start = self.counters.committed;
-        let target = start.saturating_add(limit);
-        let mut stream_done = false;
-        while self.counters.committed < target {
-            let progress = self.step(stream, &mut stream_done);
-            if stream_done
-                && self.rob.is_empty()
-                && self.ifq.is_empty()
-                && self.fetch_pending.is_none()
-            {
-                break;
-            }
-            if !progress {
-                // Nothing happened: jump to the next event, prefetching the
-                // lines the first post-jump cycle will touch while the jump
-                // target is computed.
-                let next = self.next_event_cycle();
-                self.prefetch_next_event(next);
-                let jump_to = next.max(self.now + 1);
-                self.tally_idle_jumps += 1;
-                self.hist_jump.record(jump_to - self.now);
-                self.counters.cycles += jump_to - self.now;
-                self.now = jump_to;
-            } else {
-                self.counters.cycles += 1;
-                self.now += 1;
-            }
-        }
-        self.flush_pipeline_metrics();
-        self.counters.committed - start
+        self.run_loop::<S, false>(stream, limit)
     }
 
-    /// [`Core::run_detailed`] with the stage profiler armed: identical
-    /// control flow, but one loop iteration per `sim_obs::profile::EPOCH`
-    /// is individually timed (each of the five stages plus the
-    /// cycle-advance arm gets its own timestamp pair) and samples ROB /
-    /// IFQ / LSQ occupancy. Kept as a separate loop so the unprofiled hot
-    /// path carries zero profiling cost — not even a countdown decrement.
-    /// (`inline(never)`, not `cold`: a cold attribute would pessimize
-    /// codegen of the twin loop itself and inflate the very overhead the
+    /// The stage-profiled instantiation of [`Core::run_loop`], kept out of
+    /// line so the unprofiled loop's code stays exactly the hot loop.
+    /// (`inline(never)`, not `cold`: a cold attribute would pessimize the
+    /// profiled loop's own codegen and inflate the very overhead the
     /// profiler must keep under 2%.)
     #[inline(never)]
     fn run_detailed_profiled<S: InstStream + ?Sized>(&mut self, stream: &mut S, limit: u64) -> u64 {
+        self.run_loop::<S, true>(stream, limit)
+    }
+
+    /// The detailed loop: one cycle (commit → writeback → issue → dispatch
+    /// → fetch) per iteration, idle stretches jumped to the next event.
+    ///
+    /// With `PROFILE`, one iteration per `sim_obs::profile::EPOCH` is
+    /// individually timed (each of the five stages plus the cycle-advance
+    /// arm gets its own timestamp pair) and samples ROB / IFQ / LSQ
+    /// occupancy; every other iteration only decrements a countdown.
+    /// Without it, every profiling branch is compiled out — not even the
+    /// countdown remains.
+    #[inline(always)]
+    fn run_loop<S: InstStream + ?Sized, const PROFILE: bool>(
+        &mut self,
+        stream: &mut S,
+        limit: u64,
+    ) -> u64 {
         use std::time::Instant;
-        let wall_start = Instant::now();
+        let wall_start = PROFILE.then(Instant::now);
         let start = self.counters.committed;
         let target = start.saturating_add(limit);
         let mut stream_done = false;
         // Move the profiler state out of `self` for the loop's duration:
         // the unsampled (common) path then touches only two locals per
         // iteration — no `Option` discriminant check, no Box deref.
-        let mut p = self.prof.take().expect("profiled loop has prof state");
-        let mut countdown = p.countdown;
+        let mut prof = if PROFILE { self.prof.take() } else { None };
+        let mut countdown = prof.as_ref().map_or(0, |p| p.countdown);
         let mut iters: u64 = 0;
         while self.counters.committed < target {
-            iters += 1;
-            countdown -= 1;
-            if countdown == 0 {
-                countdown = sim_obs::profile::EPOCH;
-                p.sampled += 1;
-                let t0 = Instant::now();
-                let a = self.do_writeback();
-                let t1 = Instant::now();
-                let b = self.do_commit();
-                let t2 = Instant::now();
-                let c = self.do_issue();
-                let t3 = Instant::now();
-                let d = self.do_dispatch();
-                let t4 = Instant::now();
-                let e = self.do_fetch(stream, &mut stream_done);
-                let t5 = Instant::now();
-                let progress = a | b | c | d | e;
-                let done = stream_done
-                    && self.rob.is_empty()
-                    && self.ifq.is_empty()
-                    && self.fetch_pending.is_none();
-                if !done {
-                    self.advance(progress);
+            if PROFILE {
+                iters += 1;
+                countdown -= 1;
+                if countdown == 0 {
+                    countdown = sim_obs::profile::EPOCH;
+                    let p = prof.as_mut().expect("profiled loop has prof state");
+                    if self.sampled_cycle(stream, &mut stream_done, p) {
+                        break;
+                    }
+                    continue;
                 }
-                let t6 = Instant::now();
-                let ns = |a: Instant, b: Instant| b.duration_since(a).as_nanos() as u64;
-                let occ = [
-                    self.rob.len() as u64,
-                    self.ifq.len() as u64,
-                    self.lsq.len() as u64,
-                ];
-                for (acc, v) in p.stage_ns.iter_mut().zip([
-                    ns(t0, t1),
-                    ns(t1, t2),
-                    ns(t2, t3),
-                    ns(t3, t4),
-                    ns(t4, t5),
-                    ns(t5, t6),
-                ]) {
-                    *acc += v;
-                }
-                for (acc, v) in p.occ_sum.iter_mut().zip(occ) {
-                    *acc += v;
-                }
-                if done {
-                    break;
-                }
-            } else {
-                let progress = self.step(stream, &mut stream_done);
-                if stream_done
-                    && self.rob.is_empty()
-                    && self.ifq.is_empty()
-                    && self.fetch_pending.is_none()
-                {
-                    break;
-                }
-                self.advance(progress);
             }
+            let progress = self.step(stream, &mut stream_done);
+            if self.drained(stream_done) {
+                break;
+            }
+            self.advance(progress);
         }
-        let wall_ns = wall_start.elapsed().as_nanos() as u64;
-        p.iters += iters;
-        sim_obs::profile::add_run(wall_ns, p.iters, p.sampled, p.stage_ns, p.occ_sum);
-        *p = CoreProf::new();
-        self.prof = Some(p);
+        if let (Some(mut p), Some(t)) = (prof, wall_start) {
+            p.iters += iters;
+            let wall_ns = t.elapsed().as_nanos() as u64;
+            sim_obs::profile::add_run(wall_ns, p.iters, p.sampled, p.stage_ns, p.occ_sum);
+            *p = CoreProf::new();
+            self.prof = Some(p);
+        }
         self.flush_pipeline_metrics();
         self.counters.committed - start
     }
 
-    /// The cycle-advance arm shared by the profiled loop's two paths: on
-    /// progress tick one cycle, otherwise jump to the next event (same
-    /// bookkeeping as the inline arm in [`Core::run_detailed`]).
-    #[inline]
+    /// Whether the stream is exhausted and the pipeline has drained.
+    #[inline(always)]
+    fn drained(&self, stream_done: bool) -> bool {
+        stream_done && self.rob.is_empty() && self.ifq.is_empty() && self.fetch_pending.is_none()
+    }
+
+    /// One individually timed cycle of the profiled loop, accumulated into
+    /// `p`. Returns whether the run is over (the pipeline drained).
+    fn sampled_cycle<S: InstStream + ?Sized>(
+        &mut self,
+        stream: &mut S,
+        stream_done: &mut bool,
+        p: &mut CoreProf,
+    ) -> bool {
+        use std::time::Instant;
+        p.sampled += 1;
+        let t0 = Instant::now();
+        let a = self.do_writeback();
+        let t1 = Instant::now();
+        let b = self.do_commit();
+        let t2 = Instant::now();
+        let c = self.do_issue();
+        let t3 = Instant::now();
+        let d = self.do_dispatch();
+        let t4 = Instant::now();
+        let e = self.do_fetch(stream, stream_done);
+        let t5 = Instant::now();
+        let progress = a | b | c | d | e;
+        let done = self.drained(*stream_done);
+        if !done {
+            self.advance(progress);
+        }
+        let t6 = Instant::now();
+        let ns = |a: Instant, b: Instant| b.duration_since(a).as_nanos() as u64;
+        let occ = [
+            self.rob.len() as u64,
+            self.ifq.len() as u64,
+            self.lsq.len() as u64,
+        ];
+        for (acc, v) in p.stage_ns.iter_mut().zip([
+            ns(t0, t1),
+            ns(t1, t2),
+            ns(t2, t3),
+            ns(t3, t4),
+            ns(t4, t5),
+            ns(t5, t6),
+        ]) {
+            *acc += v;
+        }
+        for (acc, v) in p.occ_sum.iter_mut().zip(occ) {
+            *acc += v;
+        }
+        done
+    }
+
+    /// Advance simulated time: on progress tick one cycle, otherwise jump
+    /// to the next event, prefetching the lines the first post-jump cycle
+    /// will touch while the jump target is computed.
+    #[inline(always)]
     fn advance(&mut self, progress: bool) {
         if !progress {
             let next = self.next_event_cycle();
@@ -926,11 +935,6 @@ impl Core {
             self.counters.cycles += 1;
             self.now += 1;
         }
-    }
-
-    /// Trait-object entry point for [`Core::run_detailed`].
-    pub fn run_detailed_dyn(&mut self, stream: &mut dyn InstStream, limit: u64) -> u64 {
-        self.run_detailed(stream, limit)
     }
 
     /// Flush the hot-loop tallies into the sim-obs metrics registry
@@ -1484,6 +1488,19 @@ impl Core {
     /// another machine must drain or carry them (see [`Core::take_unfetched`]).
     pub fn unfetched_len(&self) -> usize {
         self.fetch_buf.len() - self.fetch_buf_pos
+    }
+
+    /// Pop up to `max` buffered-but-unfetched instructions (oldest first)
+    /// together with the structures functional warming updates, borrowed
+    /// disjointly so the warm path can feed both through one sink.
+    pub(crate) fn take_unfetched_for_warming(
+        &mut self,
+        max: u64,
+    ) -> (&[DynInst], &mut MemoryHierarchy, &mut BranchPredictor) {
+        let start = self.fetch_buf_pos;
+        let end = start + (self.unfetched_len() as u64).min(max) as usize;
+        self.fetch_buf_pos = end;
+        (&self.fetch_buf[start..end], &mut self.mem, &mut self.bpred)
     }
 
     /// Pop the oldest buffered-but-unfetched instruction, if any.
@@ -2254,7 +2271,7 @@ mod structural_tests {
     #[test]
     fn footprint_counts_decode_occupancy_not_capacity() {
         // The decode buffer's contribution to the footprint is exactly its
-        // unconsumed tail — not its SIM_FETCH_BATCH-sized capacity and not
+        // unconsumed tail — not its FETCH_BATCH-sized capacity and not
         // the already-decoded prefix. Draining it shrinks the footprint by
         // the tail; reloading grows it back by the same amount.
         let mut core = Core::new(SimConfig::table3(2));

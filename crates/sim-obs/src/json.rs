@@ -60,10 +60,11 @@ impl Json {
     }
 
     /// Parse one JSON document from `s` (surrounding whitespace allowed).
+    /// Arrays and objects nested deeper than [`MAX_DEPTH`] are an error.
     pub fn parse(s: &str) -> Result<Json, String> {
         let b = s.as_bytes();
         let mut i = 0usize;
-        let v = parse_value(b, &mut i)?;
+        let v = parse_value(b, &mut i, 0)?;
         skip_ws(b, &mut i);
         if i != b.len() {
             return Err(format!("trailing data at byte {i}"));
@@ -110,8 +111,17 @@ fn skip_ws(b: &[u8], i: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], i: &mut usize) -> Result<Json, String> {
+/// Deepest array/object nesting [`Json::parse`] accepts. Ledger records
+/// and wire requests nest a few levels; the limit bounds the recursive
+/// parser's stack use on hostile input (a daemon connection thread must
+/// not overflow its stack on one request line).
+pub const MAX_DEPTH: usize = 128;
+
+fn parse_value(b: &[u8], i: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, i);
+    if matches!(b.get(*i), Some(b'{' | b'[')) && depth >= MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {i}"));
+    }
     match b.get(*i) {
         None => Err("unexpected end of input".to_string()),
         Some(b'{') => {
@@ -124,7 +134,7 @@ fn parse_value(b: &[u8], i: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(b, i);
-                let key = match parse_value(b, i)? {
+                let key = match parse_value(b, i, depth + 1)? {
                     Json::Str(s) => s,
                     other => return Err(format!("object key must be a string, got {other:?}")),
                 };
@@ -133,7 +143,7 @@ fn parse_value(b: &[u8], i: &mut usize) -> Result<Json, String> {
                     return Err(format!("expected ':' at byte {i}"));
                 }
                 *i += 1;
-                let val = parse_value(b, i)?;
+                let val = parse_value(b, i, depth + 1)?;
                 kv.push((key, val));
                 skip_ws(b, i);
                 match b.get(*i) {
@@ -155,7 +165,7 @@ fn parse_value(b: &[u8], i: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(arr));
             }
             loop {
-                arr.push(parse_value(b, i)?);
+                arr.push(parse_value(b, i, depth + 1)?);
                 skip_ws(b, i);
                 match b.get(*i) {
                     Some(b',') => *i += 1,
@@ -299,5 +309,22 @@ mod tests {
         assert_eq!(Json::Num(5.0).as_u64(), Some(5));
         assert_eq!(Json::Num(5.5).as_u64(), None);
         assert_eq!(Json::Num(-1.0).as_u64(), None);
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&objects).is_err());
+        // Far past any stack the recursion could survive unbounded; the
+        // cap turns it into an error after MAX_DEPTH frames.
+        assert!(Json::parse(&"[".repeat(1 << 20)).is_err());
     }
 }

@@ -14,8 +14,12 @@
 //! the next chunk boundary (the "interval boundary" of the service layer),
 //! leaving the store consistent — completed runs were already written
 //! through, the rest were never started.
+//!
+//! A finished job is forgotten down to its status row ([`JobInfo`]): the
+//! queue drops its plan and any undelivered events, so a long-running
+//! daemon's memory does not grow with the jobs it has served.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -180,8 +184,9 @@ impl Job {
         self.events_cv.notify_all();
     }
 
-    /// Mark the job terminal and append the final event.
-    pub fn finish(&self, summary: Summary) {
+    /// Mark the job terminal and append the final event. Daemon code goes
+    /// through [`Queue::finish`], which also retires the job.
+    fn finish(&self, summary: Summary) {
         let state = match summary.state {
             "done" => JobState::Done,
             "cancelled" => JobState::Cancelled,
@@ -208,7 +213,7 @@ impl Job {
     }
 }
 
-/// One row of a status snapshot.
+/// One row of a status snapshot — all that is kept of a finished job.
 #[derive(Debug, Clone)]
 pub struct JobInfo {
     /// Job id.
@@ -223,11 +228,26 @@ pub struct JobInfo {
     pub done: usize,
 }
 
+impl Job {
+    fn info(&self) -> JobInfo {
+        JobInfo {
+            id: self.id,
+            state: self.state(),
+            priority: self.desc.priority,
+            runs: self.plan.len(),
+            done: self.done_runs.load(Ordering::Relaxed),
+        }
+    }
+}
+
 struct Inner {
     /// Pending jobs, sorted by (priority desc, id asc).
     pending: Vec<Arc<Job>>,
-    /// Every job ever admitted, by id (status and cancel lookups).
+    /// Admitted jobs that have not finished, by id (status and cancel
+    /// lookups).
     jobs: HashMap<u64, Arc<Job>>,
+    /// Status rows of finished jobs, by id.
+    finished: BTreeMap<u64, JobInfo>,
     next_id: u64,
     closed: bool,
 }
@@ -246,6 +266,7 @@ impl Queue {
             inner: Mutex::new(Inner {
                 pending: Vec::new(),
                 jobs: HashMap::new(),
+                finished: BTreeMap::new(),
                 next_id: 0,
                 closed: false,
             }),
@@ -298,12 +319,29 @@ impl Queue {
         }
     }
 
+    /// Finish `job` with `summary` (its terminal event) and retire it: only
+    /// its status row stays, while its plan and any events no connection
+    /// drained are dropped with the last reference.
+    pub fn finish(&self, job: &Job, summary: Summary) {
+        job.finish(summary);
+        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        Self::retire(&mut inner, job);
+    }
+
+    fn retire(inner: &mut Inner, job: &Job) {
+        inner.jobs.remove(&job.id);
+        inner.finished.insert(job.id, job.info());
+    }
+
     /// Cancel job `id`. A queued job is removed and finished immediately
     /// (it never starts); a running job gets its flag set and stops at the
     /// next chunk boundary. Terminal jobs are an error.
     pub fn cancel(&self, id: u64) -> Result<&'static str, String> {
         let job = {
             let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+            if inner.finished.contains_key(&id) {
+                return Err(format!("job {id} already finished"));
+            }
             let job = inner
                 .jobs
                 .get(&id)
@@ -316,6 +354,7 @@ impl Queue {
                     state: "cancelled",
                     ..Summary::default()
                 });
+                Self::retire(&mut inner, &job);
                 return Ok("cancelled before start");
             }
             job
@@ -331,22 +370,20 @@ impl Queue {
     /// Running jobs are untouched — the server drains or cancels them on
     /// its own timetable.
     pub fn close(&self) {
-        let cancelled: Vec<Arc<Job>> = {
-            let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-            inner.closed = true;
-            std::mem::take(&mut inner.pending)
-        };
-        for job in cancelled {
+        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        inner.closed = true;
+        for job in std::mem::take(&mut inner.pending) {
             job.request_cancel();
             job.finish(Summary {
                 state: "cancelled",
                 ..Summary::default()
             });
+            Self::retire(&mut inner, &job);
         }
         self.cv.notify_all();
     }
 
-    /// Look up a job by id.
+    /// Look up an unfinished job by id.
     pub fn get(&self, id: u64) -> Option<Arc<Job>> {
         self.inner
             .lock()
@@ -359,17 +396,8 @@ impl Queue {
     /// Status rows for every known job, in id order.
     pub fn snapshot(&self) -> Vec<JobInfo> {
         let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let mut rows: Vec<JobInfo> = inner
-            .jobs
-            .values()
-            .map(|j| JobInfo {
-                id: j.id,
-                state: j.state(),
-                priority: j.desc.priority,
-                runs: j.plan.len(),
-                done: j.done_runs.load(Ordering::Relaxed),
-            })
-            .collect();
+        let mut rows: Vec<JobInfo> = inner.jobs.values().map(|j| j.info()).collect();
+        rows.extend(inner.finished.values().cloned());
         rows.sort_by_key(|r| r.id);
         rows
     }
@@ -462,11 +490,14 @@ mod tests {
         let job = q.submit(tiny_job(0)).unwrap();
         assert!(job.next_event(Duration::from_millis(5)).is_none());
         job.push_records(vec!["r1".into(), "r2".into()]);
-        job.finish(Summary {
-            state: "done",
-            records: 2,
-            ..Summary::default()
-        });
+        q.finish(
+            &job,
+            Summary {
+                state: "done",
+                records: 2,
+                ..Summary::default()
+            },
+        );
         match job.next_event(Duration::from_millis(5)).unwrap() {
             Event::Records(lines) => assert_eq!(lines, vec!["r1", "r2"]),
             other => panic!("unexpected {other:?}"),
@@ -479,5 +510,49 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(job.state(), JobState::Done);
+    }
+
+    #[test]
+    fn finished_jobs_keep_only_their_status_rows() {
+        let q = Queue::new(8);
+        let mut plans = Vec::new();
+        for i in 0..6 {
+            let job = q.submit(tiny_job(i)).unwrap();
+            // Undelivered events must go with the job.
+            job.push_records(vec!["r".into()]);
+            plans.push(Arc::downgrade(&job));
+        }
+        // Two cancelled while queued, four claimed and finished.
+        q.cancel(0).unwrap();
+        q.cancel(1).unwrap();
+        for _ in 0..4 {
+            let job = q.claim().unwrap();
+            job.done_runs.fetch_add(job.plan.len(), Ordering::Relaxed);
+            q.finish(
+                &job,
+                Summary {
+                    state: "done",
+                    ..Summary::default()
+                },
+            );
+        }
+        for (i, weak) in plans.iter().enumerate() {
+            assert!(weak.upgrade().is_none(), "job {i} still holds its plan");
+            assert!(q.get(i as u64).is_none());
+        }
+        let rows = q.snapshot();
+        assert_eq!(rows.len(), 6, "every job keeps a status row");
+        for r in &rows {
+            let want = if r.id < 2 {
+                JobState::Cancelled
+            } else {
+                JobState::Done
+            };
+            assert_eq!(r.state, want, "job {}", r.id);
+            assert_eq!(r.runs, 1);
+        }
+        assert_eq!(rows[5].priority, 5);
+        assert_eq!(rows[5].done, 1);
+        assert!(q.cancel(3).unwrap_err().contains("already finished"));
     }
 }

@@ -28,7 +28,7 @@
 //! through to the store, unstarted runs never begin, and the store is left
 //! consistent (`simstore verify` passes).
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -136,7 +136,8 @@ impl Server {
                     .spawn(move || {
                         while let Some(job) = queue.claim() {
                             running.fetch_add(1, Ordering::SeqCst);
-                            drive(&job, &running);
+                            let summary = drive(&job, &running);
+                            queue.finish(&job, summary);
                             running.fetch_sub(1, Ordering::SeqCst);
                         }
                     })
@@ -190,8 +191,9 @@ impl Server {
 const CHUNK_PER_WORKER: usize = 2;
 
 /// Execute one claimed job: chunked fan-out under the job's budget share,
-/// records drained and streamed at every chunk boundary.
-fn drive(job: &Arc<Job>, running: &AtomicUsize) {
+/// records drained and streamed at every chunk boundary. Returns the
+/// job's terminal summary.
+fn drive(job: &Arc<Job>, running: &AtomicUsize) -> Summary {
     let start = Instant::now();
     let sink = sim_obs::ledger::JobSink::new();
     let prev = sim_obs::ledger::install_job_sink(Some(sink.clone()));
@@ -222,7 +224,7 @@ fn drive(job: &Arc<Job>, running: &AtomicUsize) {
     sim_obs::ledger::install_job_sink(prev);
     stream_batch(job, &sink, &mut summary);
     summary.wall_ms = start.elapsed().as_millis() as u64;
-    job.finish(summary);
+    summary
 }
 
 /// Drain the job sink and forward one batch to the client, folding each
@@ -279,6 +281,33 @@ fn status_line(queue: &Queue, id: Option<u64>) -> String {
     line
 }
 
+/// Longest request line the daemon reads, in bytes, newline excluded. Job
+/// descriptions take a few hundred bytes; a longer line gets an error line
+/// and the connection is closed without reading the rest of it.
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
+
+/// Read one request line of at most [`MAX_REQUEST_BYTES`] into `buf`
+/// (line terminator stripped). `Ok(false)` at end of stream.
+fn read_request(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> io::Result<bool> {
+    buf.clear();
+    let cap = MAX_REQUEST_BYTES as u64 + 1;
+    if reader.take(cap).read_until(b'\n', buf)? == 0 {
+        return Ok(false);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > MAX_REQUEST_BYTES {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("request line exceeds {MAX_REQUEST_BYTES} bytes"),
+        ));
+    }
+    Ok(true)
+}
+
 /// Serve one client connection until it closes (or a write fails — a gone
 /// client never cancels its job; results still land in the store).
 fn handle_conn(mut stream: TcpStream, queue: &Queue, shutdown: &AtomicBool) -> io::Result<()> {
@@ -286,13 +315,27 @@ fn handle_conn(mut stream: TcpStream, queue: &Queue, shutdown: &AtomicBool) -> i
     // Control lines and record batches are small writes; without nodelay,
     // Nagle + delayed ACK stall each round-trip by tens of milliseconds.
     stream.set_nodelay(true)?;
-    let reader = BufReader::new(stream.try_clone()?);
-    for line in reader.lines() {
-        let line = line?;
+    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut buf = Vec::new();
+    loop {
+        match read_request(&mut reader, &mut buf) {
+            Ok(true) => {}
+            Ok(false) => break,
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                // The rest of an oversized line is never read: answer and
+                // hang up.
+                return send(&mut stream, &proto::error_line(&e.to_string()));
+            }
+            Err(e) => return Err(e),
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            send(&mut stream, &proto::error_line("request is not UTF-8"))?;
+            continue;
+        };
         if line.trim().is_empty() {
             continue;
         }
-        match proto::parse_request(&line) {
+        match proto::parse_request(line) {
             Err(e) => send(&mut stream, &proto::error_line(&e))?,
             Ok(Request::Ping) => send(&mut stream, &proto::pong_line())?,
             Ok(Request::Shutdown) => {

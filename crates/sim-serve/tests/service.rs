@@ -397,3 +397,74 @@ fn interleaved_jobs_stream_the_same_ledgers_as_sequential() {
     );
     d.stop();
 }
+
+/// Send raw bytes on a fresh connection and return the first response line
+/// (empty if the daemon closed or reset the connection first).
+fn raw_request(addr: SocketAddr, bytes: &[u8]) -> String {
+    use std::io::{BufRead, BufReader, Write};
+    let mut conn = std::net::TcpStream::connect(addr).expect("raw connect");
+    conn.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    // The daemon may hang up mid-write; that is one of the two allowed
+    // outcomes, so write errors are not failures.
+    let _ = conn.write_all(bytes);
+    let mut line = String::new();
+    let _ = BufReader::new(conn).read_line(&mut line);
+    line
+}
+
+#[test]
+fn oversized_request_line_is_refused_and_the_daemon_survives() {
+    let _g = lock();
+    let d = start(1);
+    let mut hostile = vec![b'x'; sim_serve::server::MAX_REQUEST_BYTES + 2];
+    hostile.push(b'\n');
+    let reply = raw_request(d.addr, &hostile);
+    assert!(
+        reply.is_empty() || reply.contains("\"serve\":\"error\""),
+        "oversized line must get an error line or a closed connection: {reply:?}"
+    );
+    d.client().ping().expect("daemon still answers ping");
+    d.stop();
+}
+
+#[test]
+fn deeply_nested_request_is_refused_and_the_daemon_survives() {
+    let _g = lock();
+    let d = start(1);
+    let mut hostile = b"{\"op\":".to_vec();
+    hostile.extend(std::iter::repeat_n(b'[', 500_000));
+    hostile.push(b'\n');
+    let reply = raw_request(d.addr, &hostile);
+    assert!(
+        reply.is_empty() || reply.contains("\"serve\":\"error\""),
+        "deep nesting must get an error line or a closed connection: {reply:?}"
+    );
+    assert!(
+        reply.contains("nesting"),
+        "refused by the depth cap: {reply:?}"
+    );
+    d.client().ping().expect("daemon still answers ping");
+    d.stop();
+}
+
+#[test]
+fn a_degenerate_spec_is_refused_and_the_next_job_still_runs() {
+    let _g = lock();
+    // One scheduler thread: before specs failed closed, the bad job's
+    // runner assertion killed it and every later job waited forever.
+    let d = start(1);
+    let mut client = d.client();
+    let bad = job(&["gzip"], &["smarts:u=0,w=0"]);
+    let err = client
+        .submit_streaming(&bad, |_| {})
+        .expect_err("a zero sampling unit is refused at submit");
+    assert!(err.contains("u > 0"), "{err}");
+    let good = job(&["gzip"], &["runz:z=5k"]);
+    let out = client
+        .submit_streaming(&good, |_| {})
+        .expect("the next job is admitted and completes");
+    assert_eq!(out.state, "done");
+    assert_eq!(out.records, 1);
+    d.stop();
+}

@@ -47,7 +47,8 @@ fn parse_count(s: &str) -> Result<u64, String> {
     let n: u64 = digits
         .parse()
         .map_err(|_| format!("bad count {s:?} (expected an integer, optional k/m suffix)"))?;
-    Ok(n * mult)
+    n.checked_mul(mult)
+        .ok_or_else(|| format!("count {s:?} overflows 64 bits"))
 }
 
 /// Split `"u=1000,w=2000"` into `(key, value)` pairs.
@@ -67,6 +68,16 @@ fn need(fields: &[(&str, &str)], key: &str, spec: &str) -> Result<u64, String> {
         .find(|(k, _)| *k == key)
         .ok_or_else(|| format!("spec {spec:?} is missing {key}="))
         .and_then(|(_, v)| parse_count(v))
+}
+
+/// [`need`] for a field the technique divides by or sizes a sample with:
+/// zero is rejected here, before a runner's assertion can fire on a
+/// daemon's scheduler thread.
+fn need_nonzero(fields: &[(&str, &str)], key: &str, spec: &str) -> Result<u64, String> {
+    match need(fields, key, spec)? {
+        0 => Err(format!("spec {spec:?} needs {key} > 0")),
+        n => Ok(n),
+    }
 }
 
 /// Parse one spec string into one or more technique permutations.
@@ -121,15 +132,16 @@ pub fn parse_specs(s: &str, scale: f64) -> Result<Vec<TechniqueSpec>, String> {
         "smarts" => {
             let f = fields(rest)?;
             TechniqueSpec::Smarts {
-                u: need(&f, "u", s)?,
+                u: need_nonzero(&f, "u", s)?,
                 w: need(&f, "w", s)?,
             }
         }
         "simpoint" => {
             let f = fields(rest)?;
             TechniqueSpec::SimPoint {
-                interval: need(&f, "interval", s)?,
-                max_k: need(&f, "k", s)? as usize,
+                interval: need_nonzero(&f, "interval", s)?,
+                max_k: usize::try_from(need_nonzero(&f, "k", s)?)
+                    .map_err(|_| format!("spec {s:?}: k does not fit this host"))?,
                 warmup: registry::simpoint_warmup(scale),
             }
         }
@@ -140,8 +152,9 @@ pub fn parse_specs(s: &str, scale: f64) -> Result<Vec<TechniqueSpec>, String> {
                 None => 0,
             };
             TechniqueSpec::RandomSample {
-                n: need(&f, "n", s)? as usize,
-                u: need(&f, "u", s)?,
+                n: usize::try_from(need(&f, "n", s)?)
+                    .map_err(|_| format!("spec {s:?}: n does not fit this host"))?,
+                u: need_nonzero(&f, "u", s)?,
                 w: need(&f, "w", s)?,
                 seed,
             }
@@ -288,6 +301,43 @@ mod tests {
         assert_eq!(parse_count("3M").unwrap(), 3_000_000);
         assert!(parse_count("k").is_err());
         assert!(parse_count("2.5k").is_err());
+    }
+
+    #[test]
+    fn counts_that_overflow_are_rejected_not_wrapped() {
+        assert_eq!(parse_count("18446744073709551615").unwrap(), u64::MAX);
+        assert!(parse_count("18446744073709552k").is_err());
+        assert!(parse_count("18446744073710m").is_err());
+        assert!(parse_specs("runz:z=99999999999999999m", 1.0).is_err());
+    }
+
+    #[test]
+    fn smarts_with_a_zero_unit_is_rejected() {
+        let err = parse_specs("smarts:u=0,w=2000", 1.0).unwrap_err();
+        assert!(err.contains("u > 0"), "{err}");
+        assert!(parse_specs("smarts:u=0,w=0", 1.0).is_err());
+        assert!(
+            parse_specs("smarts:u=1,w=0", 1.0).is_ok(),
+            "w=0 is a valid design"
+        );
+    }
+
+    #[test]
+    fn random_with_a_zero_unit_is_rejected() {
+        let err = parse_specs("random:n=30,u=0,w=2000", 1.0).unwrap_err();
+        assert!(err.contains("u > 0"), "{err}");
+    }
+
+    #[test]
+    fn simpoint_with_a_zero_interval_is_rejected() {
+        let err = parse_specs("simpoint:interval=0,k=10", 1.0).unwrap_err();
+        assert!(err.contains("interval > 0"), "{err}");
+    }
+
+    #[test]
+    fn simpoint_with_zero_clusters_is_rejected() {
+        let err = parse_specs("simpoint:interval=100k,k=0", 1.0).unwrap_err();
+        assert!(err.contains("k > 0"), "{err}");
     }
 
     #[test]

@@ -2,8 +2,11 @@
 //! whole-execution BBEF/BBV profiles (the §4.2 execution-profile
 //! characterization).
 
-use sim_core::isa::InstStream;
+use sim_core::isa::{DynInst, InstStream};
 use workloads::{Interp, Program};
+
+/// Instructions pulled from the stream per batch while profiling.
+const PROFILE_BATCH: usize = 4_096;
 
 /// A sparse basic-block vector: `(block id, instruction count)` pairs.
 pub type SparseBbv = Vec<(u32, f64)>;
@@ -35,14 +38,18 @@ pub fn profile_intervals(program: &Program, interval_len: u64) -> IntervalProfil
     let mut in_interval = 0u64;
     let mut total = 0u64;
 
-    while let Some(inst) = stream.next_inst() {
-        counts[inst.bb_id as usize] += 1.0;
-        in_interval += 1;
-        total += 1;
-        if in_interval == interval_len {
-            intervals.push(to_sparse(&mut counts));
-            in_interval = 0;
+    let mut batch = Vec::with_capacity(PROFILE_BATCH);
+    while stream.next_block(&mut batch, PROFILE_BATCH) > 0 {
+        for inst in &batch {
+            counts[inst.bb_id as usize] += 1.0;
+            in_interval += 1;
+            if in_interval == interval_len {
+                intervals.push(to_sparse(&mut counts));
+                in_interval = 0;
+            }
         }
+        total += batch.len() as u64;
+        batch.clear();
     }
     if in_interval > 0 {
         intervals.push(to_sparse(&mut counts));
@@ -92,18 +99,24 @@ pub fn profile_stream(
     let mut exec_freq = vec![0.0; num_blocks];
     let mut inst_counts = vec![0.0; num_blocks];
     let mut total = 0u64;
+    let mut batch: Vec<DynInst> = Vec::with_capacity(PROFILE_BATCH);
     while total < limit {
-        let Some(inst) = stream.next_inst() else {
+        let want = (limit - total).min(PROFILE_BATCH as u64) as usize;
+        let got = stream.next_block(&mut batch, want);
+        if got == 0 {
             break;
-        };
-        let b = inst.bb_id as usize;
-        if b < num_blocks {
-            inst_counts[b] += 1.0;
-            if inst.pc == program.blocks[b].base_pc {
-                exec_freq[b] += 1.0;
+        }
+        for inst in &batch {
+            let b = inst.bb_id as usize;
+            if b < num_blocks {
+                inst_counts[b] += 1.0;
+                if inst.pc == program.blocks[b].base_pc {
+                    exec_freq[b] += 1.0;
+                }
             }
         }
-        total += 1;
+        total += got as u64;
+        batch.clear();
     }
     AggregateProfile {
         exec_freq,

@@ -6,9 +6,9 @@
 //! all pull from the same stream, so every simulation technique observes the
 //! same execution — exactly as re-running the same binary does in the paper.
 
-use crate::program::{BlockId, MemPattern, Program, Region, Terminator};
+use crate::program::{BlockId, MemPattern, Program, Region};
 use crate::rng::SplitMix64;
-use crate::tcache::{DecodedTerm, PatchKind, TraceCache, WarmKind};
+use crate::tcache::{DecodedBlock, DecodedTerm, PatchKind, TraceCache};
 use sim_core::isa::{Addr, DynInst, InstStream, OpClass, WarmSink};
 use sim_core::state::{ByteReader, ByteWriter, StateError};
 
@@ -171,7 +171,7 @@ pub struct Interp<'p> {
     /// functional-execution counter. Never cloned (the clone did not do the
     /// work) and flushed on drop.
     fresh_work: u64,
-    /// Pre-decoded basic-block cache serving `next_block`/`skip_n`. Pure
+    /// Pre-decoded basic-block cache every stream mode walks. Pure
     /// host-side state: never part of [`InterpState`], never cloned (a clone
     /// re-decodes lazily), and bit-transparent to the emitted stream.
     tcache: TraceCache,
@@ -190,7 +190,7 @@ impl Clone for Interp<'_> {
             rng: self.rng,
             emitted: self.emitted,
             fresh_work: 0,
-            tcache: TraceCache::from_env(self.prog),
+            tcache: TraceCache::new(self.prog),
         }
     }
 }
@@ -220,7 +220,7 @@ impl<'p> Interp<'p> {
             rng: SplitMix64::new(prog.seed),
             emitted: 0,
             fresh_work: 0,
-            tcache: TraceCache::from_env(prog),
+            tcache: TraceCache::new(prog),
         }
     }
 
@@ -302,34 +302,6 @@ impl<'p> Interp<'p> {
         self.done
     }
 
-    #[inline]
-    fn block_pc(&self, b: BlockId) -> Addr {
-        self.prog.blocks[b as usize].base_pc
-    }
-
-    /// Live bytes held by this interpreter's trace cache (counted into
-    /// checkpoint footprint budgets alongside [`InterpState::approx_bytes`]).
-    pub fn cache_bytes(&self) -> usize {
-        self.tcache.bytes()
-    }
-
-    /// Test hook: shrink the trace-cache budget to force eviction pressure.
-    #[cfg(test)]
-    pub(crate) fn tcache_set_budget(&mut self, bytes: usize) {
-        self.tcache.set_budget(bytes);
-    }
-
-    #[inline]
-    fn mem_addr(&mut self, region: u16, pattern: MemPattern) -> Addr {
-        Self::mem_addr_in(
-            &self.prog.regions,
-            &mut self.cursors,
-            &mut self.rng,
-            region,
-            pattern,
-        )
-    }
-
     /// `a % m` without the hardware divide when `m` is a power of two —
     /// which every suite region size is, so the address generators below
     /// stay division-free on the warm/detailed hot paths. The mask is exact
@@ -343,9 +315,10 @@ impl<'p> Interp<'p> {
         }
     }
 
-    /// [`Interp::mem_addr`] with the borrows spelled out, so the trace-cache
-    /// serve path can advance cursors/PRNG while a decoded block is borrowed
-    /// from `self.tcache`.
+    /// The effective address of one access to `region` under `pattern`,
+    /// advancing that region's cursor (or the PRNG). The borrows are spelled
+    /// out so the walk can advance cursors/PRNG while a decoded block is
+    /// borrowed from `self.tcache`.
     #[inline]
     fn mem_addr_in(
         regions: &[Region],
@@ -382,11 +355,10 @@ impl<'p> Interp<'p> {
         }
     }
 
-    /// Advance control flow past a pre-decoded terminator: the trace-cache
-    /// counterpart of [`Interp::emit_terminator`], mutating exactly the same
-    /// state in the same order (loop counters, call stack, PRNG draws) so the
-    /// two paths are bit-interchangeable. The caller applies the returned
-    /// transition to `self.block`/`self.inst_idx`/`self.done`.
+    /// Advance control flow past a pre-decoded terminator, mutating loop
+    /// counters, the call stack and the PRNG in the order the scalar
+    /// interpreter does. The caller applies the returned transition to
+    /// `self.block`/`self.inst_idx`/`self.done`.
     #[inline]
     fn term_step(
         prog: &Program,
@@ -485,574 +457,267 @@ impl<'p> Interp<'p> {
         }
     }
 
-    /// Emit the terminator of the current block and advance control flow.
-    fn emit_terminator(&mut self) -> Option<DynInst> {
-        let blk = &self.prog.blocks[self.block as usize];
-        let pc = blk.term_pc();
-        let bb_id = blk.id;
-        let (inst, next_block) = match &blk.term {
-            Terminator::Loop {
-                body,
-                exit,
-                loop_slot,
-                trips,
-            } => {
-                let c = &mut self.loop_counters[*loop_slot as usize];
-                *c += 1;
-                let (taken, next) = if *c < *trips {
-                    (true, *body)
-                } else {
-                    *c = 0;
-                    (false, *exit)
-                };
-                let target = self.block_pc(next);
-                (
-                    DynInst {
-                        pc,
-                        op: OpClass::Branch,
-                        srcs: [0, 0],
-                        dest: 0,
-                        mem_addr: 0,
-                        taken,
-                        next_pc: target,
-                        trivial: false,
-                        bb_id,
-                    },
-                    next,
-                )
-            }
-            Terminator::CondProb {
-                taken_ppm,
-                taken,
-                not_taken,
-            } => {
-                let t = self.rng.chance_ppm(*taken_ppm);
-                let next = if t { *taken } else { *not_taken };
-                let target = self.block_pc(next);
-                (
-                    DynInst {
-                        pc,
-                        op: OpClass::Branch,
-                        srcs: [0, 0],
-                        dest: 0,
-                        mem_addr: 0,
-                        taken: t,
-                        next_pc: target,
-                        trivial: false,
-                        bb_id,
-                    },
-                    next,
-                )
-            }
-            Terminator::CondPeriodic {
-                period,
-                loop_slot,
-                taken,
-                not_taken,
-            } => {
-                let c = &mut self.loop_counters[*loop_slot as usize];
-                *c += 1;
-                let t = (*c).is_multiple_of(*period);
-                let next = if t { *taken } else { *not_taken };
-                let target = self.block_pc(next);
-                (
-                    DynInst {
-                        pc,
-                        op: OpClass::Branch,
-                        srcs: [0, 0],
-                        dest: 0,
-                        mem_addr: 0,
-                        taken: t,
-                        next_pc: target,
-                        trivial: false,
-                        bb_id,
-                    },
-                    next,
-                )
-            }
-            Terminator::Jump { target } => {
-                let next = *target;
-                let tpc = self.block_pc(next);
-                (
-                    DynInst {
-                        pc,
-                        op: OpClass::Jump,
-                        srcs: [0, 0],
-                        dest: 0,
-                        mem_addr: 0,
-                        taken: true,
-                        next_pc: tpc,
-                        trivial: false,
-                        bb_id,
-                    },
-                    next,
-                )
-            }
-            Terminator::Call { callee, ret } => {
-                self.call_stack.push(*ret);
-                let next = *callee;
-                let tpc = self.block_pc(next);
-                (
-                    DynInst {
-                        pc,
-                        op: OpClass::Call,
-                        srcs: [0, 0],
-                        dest: 0,
-                        mem_addr: 0,
-                        taken: true,
-                        next_pc: tpc,
-                        trivial: false,
-                        bb_id,
-                    },
-                    next,
-                )
-            }
-            Terminator::Return => match self.call_stack.pop() {
-                Some(next) => {
-                    let tpc = self.block_pc(next);
-                    (
-                        DynInst {
-                            pc,
-                            op: OpClass::Return,
-                            srcs: [0, 0],
-                            dest: 0,
-                            mem_addr: 0,
-                            taken: true,
-                            next_pc: tpc,
-                            trivial: false,
-                            bb_id,
-                        },
-                        next,
-                    )
-                }
-                None => {
-                    // Return with an empty stack ends the program.
-                    self.done = true;
-                    return None;
-                }
-            },
-            Terminator::Switch { targets } => {
-                let pick = self.rng.below(targets.len() as u64) as usize;
-                let next = targets[pick];
-                let tpc = self.block_pc(next);
-                (
-                    DynInst {
-                        pc,
-                        op: OpClass::IndirectJump,
-                        srcs: [0, 0],
-                        dest: 0,
-                        mem_addr: 0,
-                        taken: true,
-                        next_pc: tpc,
-                        trivial: false,
-                        bb_id,
-                    },
-                    next,
-                )
-            }
-            Terminator::Halt => {
-                self.done = true;
-                return None;
-            }
-        };
-        self.block = next_block;
-        self.inst_idx = 0;
-        Some(inst)
-    }
-}
-
-impl InstStream for Interp<'_> {
-    fn next_inst(&mut self) -> Option<DynInst> {
-        if self.done {
-            return None;
-        }
-        let blk = &self.prog.blocks[self.block as usize];
-        let inst = if self.inst_idx < blk.insts.len() {
-            let si = blk.insts[self.inst_idx];
-            let pc = blk.base_pc + 4 * self.inst_idx as u64;
-            self.inst_idx += 1;
-            let mem_addr = match si.mem {
-                Some(m) => self.mem_addr(m.region, m.pattern),
-                None => 0,
-            };
-            let trivial = si.trivial_ppm != 0 && self.rng.chance_ppm(si.trivial_ppm);
-            Some(DynInst {
-                pc,
-                op: si.op,
-                srcs: si.srcs,
-                dest: si.dest,
-                mem_addr,
-                taken: false,
-                next_pc: pc + 4,
-                trivial,
-                bb_id: blk.id,
-            })
-        } else {
-            self.emit_terminator()
-        };
-        if inst.is_some() {
-            self.emitted += 1;
-            self.note_work(1);
-        }
-        inst
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        Some(self.prog.dynamic_len_estimate)
-    }
-
-    /// Fast-forward whole basic blocks at a time.
+    /// The one block walk behind every stream mode: advance up to `max`
+    /// instructions through decoded blocks, drawing each stateful patch
+    /// (effective address, triviality) and stepping each terminator in
+    /// program order, and hand the results to `v`. Emission, fast-forward
+    /// and functional warming differ only in their [`Visit`].
     ///
-    /// Must advance *all* interpreter state (region cursors, the PRNG, loop
-    /// counters, the call stack, `emitted`) exactly as `n` calls to
-    /// [`InstStream::next_inst`] would, so that the remainder of the stream
-    /// is bit-identical — only the [`DynInst`] construction and per-call
-    /// dispatch are skipped.
-    fn skip_n(&mut self, n: u64) -> u64 {
+    /// All interpreter state (cursors, PRNG, loop counters, call stack,
+    /// `emitted`) advances exactly as that many per-instruction steps
+    /// would, and the returned count is exact even when the program ends
+    /// mid-block.
+    #[inline(always)]
+    fn walk<V: Visit>(&mut self, v: &mut V, max: u64) -> u64 {
         let prog = self.prog;
         let mut consumed = 0u64;
-        while consumed < n && !self.done {
-            // Trace-cache fast path: replay only the patch list (the
-            // stateful instructions) instead of scanning the whole body.
-            let mut served = false;
-            if self.tcache.enabled() {
-                if let Some(db) = self.tcache.get_or_decode(prog, self.block) {
-                    let start = self.inst_idx;
-                    let take = ((db.template.len() - start) as u64).min(n - consumed) as usize;
-                    let end = start + take;
-                    if take > 0 {
-                        let lo = if start == 0 {
-                            0
-                        } else {
-                            db.patches.partition_point(|p| (p.idx as usize) < start)
-                        };
-                        for p in &db.patches[lo..] {
-                            if p.idx as usize >= end {
-                                break;
-                            }
-                            // Replay only the stateful parts of emission.
-                            match p.kind {
-                                PatchKind::Mem { region, pattern } => {
-                                    let _ = Self::mem_addr_in(
-                                        &prog.regions,
-                                        &mut self.cursors,
-                                        &mut self.rng,
-                                        region,
-                                        pattern,
-                                    );
-                                }
-                                PatchKind::Trivial { ppm } => {
-                                    let _ = self.rng.chance_ppm(ppm);
-                                }
-                            }
+        while consumed < max && !self.done {
+            let db = self.tcache.get_or_decode(prog, self.block);
+            let len = db.template.len();
+            let start = self.inst_idx;
+            let end = start + ((len - start) as u64).min(max - consumed) as usize;
+            if end > start {
+                v.body(db, start, end);
+                let patches = db.patch_start[start] as usize..db.patch_start[end] as usize;
+                for p in &db.patches[patches] {
+                    let idx = p.idx as usize;
+                    match p.kind {
+                        PatchKind::Data {
+                            region,
+                            pattern,
+                            store,
+                        } => {
+                            let a = Self::mem_addr_in(
+                                &prog.regions,
+                                &mut self.cursors,
+                                &mut self.rng,
+                                region,
+                                pattern,
+                            );
+                            v.data(db, idx, a, store);
                         }
-                        self.inst_idx = end;
-                        consumed += take as u64;
-                    }
-                    if consumed < n && end == db.template.len() {
-                        match Self::term_step(
-                            prog,
-                            &db.term,
-                            db.term_pc,
-                            db.bb_id,
-                            &mut self.loop_counters,
-                            &mut self.call_stack,
-                            &mut self.rng,
-                        ) {
-                            TermStep::Goto { next, .. } => {
-                                self.block = next;
-                                self.inst_idx = 0;
-                                consumed += 1;
-                            }
-                            TermStep::Halt => self.done = true,
+                        PatchKind::Draw { region, pattern } => {
+                            let a = Self::mem_addr_in(
+                                &prog.regions,
+                                &mut self.cursors,
+                                &mut self.rng,
+                                region,
+                                pattern,
+                            );
+                            v.draw(idx, a);
+                        }
+                        PatchKind::Trivial { ppm } => {
+                            let t = self.rng.chance_ppm(ppm);
+                            v.trivial(idx, t);
                         }
                     }
-                    served = true;
+                }
+                v.body_end(db, end);
+                self.inst_idx = end;
+                consumed += (end - start) as u64;
+            }
+            if consumed < max && end == len {
+                // Halt, or a Return with an empty call stack, emits nothing
+                // and ends the program.
+                match Self::term_step(
+                    prog,
+                    &db.term,
+                    db.term_pc,
+                    db.bb_id,
+                    &mut self.loop_counters,
+                    &mut self.call_stack,
+                    &mut self.rng,
+                ) {
+                    TermStep::Goto { next, inst } => {
+                        v.term(inst);
+                        self.block = next;
+                        self.inst_idx = 0;
+                        consumed += 1;
+                    }
+                    TermStep::Halt => self.done = true,
                 }
             }
-            if served {
-                continue;
-            }
-            let blk = &prog.blocks[self.block as usize];
-            let body_left = (blk.insts.len() - self.inst_idx) as u64;
-            let take = body_left.min(n - consumed);
-            if take > 0 {
-                let start = self.inst_idx;
-                for si in &blk.insts[start..start + take as usize] {
-                    // Replay only the stateful parts of instruction emission.
-                    if let Some(m) = si.mem {
-                        let _ = self.mem_addr(m.region, m.pattern);
-                    }
-                    if si.trivial_ppm != 0 {
-                        let _ = self.rng.chance_ppm(si.trivial_ppm);
-                    }
-                }
-                self.inst_idx += take as usize;
-                consumed += take;
-            }
-            if consumed == n {
+            if V::ONE_BLOCK {
                 break;
-            }
-            // Block body exhausted: consume the terminator (Halt or a bare
-            // Return emit nothing and end the program).
-            if self.emit_terminator().is_some() {
-                consumed += 1;
             }
         }
         self.emitted += consumed;
         self.note_work(consumed);
         consumed
     }
+}
 
-    /// Batched emission for the pipeline's fetch-ahead decode buffer: fill
-    /// whole basic-block bodies at a time, paying block/terminator dispatch
-    /// once per block instead of once per instruction.
-    ///
-    /// Produces exactly the instructions `max` calls to
-    /// [`InstStream::next_inst`] would, in the same order, leaving all
-    /// interpreter state (cursors, PRNG, loop counters, call stack,
-    /// `emitted`) identical.
-    fn next_block(&mut self, out: &mut Vec<DynInst>, max: usize) -> usize {
-        let prog = self.prog;
-        let mut got = 0usize;
-        while got < max && !self.done {
-            // Trace-cache fast path: the body is one array copy plus a short
-            // patch walk; the terminator comes pre-resolved. Patches are
-            // applied in instruction order (address before triviality), so
-            // the PRNG/cursor state advances exactly as unbatched emission.
-            let mut served = false;
-            if self.tcache.enabled() {
-                if let Some(db) = self.tcache.get_or_decode(prog, self.block) {
-                    let start = self.inst_idx;
-                    let take = (db.template.len() - start).min(max - got);
-                    let end = start + take;
-                    if take > 0 {
-                        let base = out.len();
-                        out.extend_from_slice(&db.template[start..end]);
-                        let lo = if start == 0 {
-                            0
-                        } else {
-                            db.patches.partition_point(|p| (p.idx as usize) < start)
-                        };
-                        for p in &db.patches[lo..] {
-                            let idx = p.idx as usize;
-                            if idx >= end {
-                                break;
-                            }
-                            let slot = &mut out[base + idx - start];
-                            match p.kind {
-                                PatchKind::Mem { region, pattern } => {
-                                    slot.mem_addr = Self::mem_addr_in(
-                                        &prog.regions,
-                                        &mut self.cursors,
-                                        &mut self.rng,
-                                        region,
-                                        pattern,
-                                    );
-                                }
-                                PatchKind::Trivial { ppm } => {
-                                    slot.trivial = self.rng.chance_ppm(ppm);
-                                }
-                            }
-                        }
-                        self.inst_idx = end;
-                        got += take;
-                    }
-                    if got < max && end == db.template.len() {
-                        match Self::term_step(
-                            prog,
-                            &db.term,
-                            db.term_pc,
-                            db.bb_id,
-                            &mut self.loop_counters,
-                            &mut self.call_stack,
-                            &mut self.rng,
-                        ) {
-                            TermStep::Goto { next, inst } => {
-                                self.block = next;
-                                self.inst_idx = 0;
-                                out.push(inst);
-                                got += 1;
-                            }
-                            TermStep::Halt => self.done = true,
-                        }
-                    }
-                    served = true;
-                }
-            }
-            if served {
-                continue;
-            }
-            let blk = &prog.blocks[self.block as usize];
-            let take = (blk.insts.len() - self.inst_idx).min(max - got);
-            for k in 0..take {
-                let idx = self.inst_idx + k;
-                let si = blk.insts[idx];
-                let pc = blk.base_pc + 4 * idx as u64;
-                let mem_addr = match si.mem {
-                    Some(m) => self.mem_addr(m.region, m.pattern),
-                    None => 0,
-                };
-                let trivial = si.trivial_ppm != 0 && self.rng.chance_ppm(si.trivial_ppm);
-                out.push(DynInst {
-                    pc,
-                    op: si.op,
-                    srcs: si.srcs,
-                    dest: si.dest,
-                    mem_addr,
-                    taken: false,
-                    next_pc: pc + 4,
-                    trivial,
-                    bb_id: blk.id,
-                });
-            }
-            self.inst_idx += take;
-            got += take;
-            if got == max {
-                break;
-            }
-            // Block body exhausted: consume the terminator (Halt or a bare
-            // Return emit nothing and end the program).
-            if let Some(t) = self.emit_terminator() {
-                out.push(t);
-                got += 1;
-            }
+/// What [`Interp::walk`] does with the instructions it passes: each stream
+/// mode is one visitor over the same walk. Every hook defaults to doing
+/// nothing, which is exactly fast-forward.
+trait Visit {
+    /// Return after one block chunk instead of filling `max` (the warm
+    /// protocol's refill unit).
+    const ONE_BLOCK: bool = false;
+    /// Body instructions `start..end` of `db` (`end > start`) are walked
+    /// next; their patches follow in program order.
+    fn body(&mut self, _db: &DecodedBlock, _start: usize, _end: usize) {}
+    /// Memory-class body instruction `idx` accesses `addr`.
+    fn data(&mut self, _db: &DecodedBlock, _idx: usize, _addr: Addr, _store: bool) {}
+    /// Non-memory body instruction `idx` drew address `addr`.
+    fn draw(&mut self, _idx: usize, _addr: Addr) {}
+    /// Body instruction `idx` drew triviality `t`.
+    fn trivial(&mut self, _idx: usize, _t: bool) {}
+    /// The body chunk ending before `end` is complete.
+    fn body_end(&mut self, _db: &DecodedBlock, _end: usize) {}
+    /// The block's terminator executed as `inst`.
+    fn term(&mut self, _inst: DynInst) {}
+}
+
+/// Fast-forward: state advances, nothing is observed.
+struct Skip;
+
+impl Visit for Skip {}
+
+/// Batched emission: each body chunk is one template copy with its
+/// dynamic fields patched in place.
+struct Emit<'a> {
+    out: &'a mut Vec<DynInst>,
+    /// `out` index of the current chunk's first instruction.
+    base: usize,
+    /// Body index of the current chunk's first instruction.
+    start: usize,
+}
+
+impl Visit for Emit<'_> {
+    fn body(&mut self, db: &DecodedBlock, start: usize, end: usize) {
+        self.base = self.out.len();
+        self.start = start;
+        self.out.extend_from_slice(&db.template[start..end]);
+    }
+    fn data(&mut self, _db: &DecodedBlock, idx: usize, addr: Addr, _store: bool) {
+        self.draw(idx, addr);
+    }
+    fn draw(&mut self, idx: usize, addr: Addr) {
+        self.out[self.base + idx - self.start].mem_addr = addr;
+    }
+    fn trivial(&mut self, idx: usize, t: bool) {
+        self.out[self.base + idx - self.start].trivial = t;
+    }
+    fn term(&mut self, inst: DynInst) {
+        self.out.push(inst);
+    }
+}
+
+/// Single-instruction emission ([`InstStream::next_inst`]); holds the
+/// instruction once the walk has consumed one.
+struct EmitOne(DynInst);
+
+impl Visit for EmitOne {
+    fn body(&mut self, db: &DecodedBlock, start: usize, _end: usize) {
+        self.0 = db.template[start];
+    }
+    fn data(&mut self, _db: &DecodedBlock, _idx: usize, addr: Addr, _store: bool) {
+        self.0.mem_addr = addr;
+    }
+    fn draw(&mut self, _idx: usize, addr: Addr) {
+        self.0.mem_addr = addr;
+    }
+    fn trivial(&mut self, _idx: usize, t: bool) {
+        self.0.trivial = t;
+    }
+    fn term(&mut self, inst: DynInst) {
+        self.0 = inst;
+    }
+}
+
+/// Functional warming: the instruction-line, data, and control events of
+/// each instruction, pushed to a [`WarmSink`].
+///
+/// Body PCs are sequential (`base_pc + 4*i`), so instruction-line touches
+/// are emitted *arithmetically*: one [`WarmSink::warm_line`] call at the
+/// chunk's first pc, then one per line crossing, interleaved with the data
+/// accesses in program order (L1I and L1D share the L2, so the relative
+/// order of instruction-line and data events is part of the determinism
+/// contract). The sink dedups against its own last-line state, so warming
+/// resumed mid-line stays exact.
+struct Warm<'a> {
+    sink: &'a mut dyn WarmSink,
+    line_mask: u64,
+    line_bytes: u64,
+    /// First pc whose line has not yet been offered to the sink; advanced
+    /// to the next line *start* after each offer (starts are 4-aligned, so
+    /// they are valid inst pcs whenever the sequential pc walk reaches
+    /// them).
+    pend_pc: Addr,
+}
+
+impl Warm<'_> {
+    /// Offer every line from `pend_pc` through the one holding `pc`.
+    #[inline]
+    fn lines_through(&mut self, pc: Addr) {
+        while self.pend_pc <= pc {
+            self.sink.warm_line(self.pend_pc);
+            self.pend_pc = (self.pend_pc & self.line_mask) + self.line_bytes;
         }
-        self.emitted += got as u64;
-        self.note_work(got as u64);
-        got
+    }
+}
+
+impl Visit for Warm<'_> {
+    const ONE_BLOCK: bool = true;
+    fn body(&mut self, db: &DecodedBlock, start: usize, _end: usize) {
+        self.pend_pc = db.template[start].pc;
+    }
+    fn data(&mut self, db: &DecodedBlock, idx: usize, addr: Addr, store: bool) {
+        self.lines_through(db.template[idx].pc);
+        self.sink.warm_data(addr, store);
+    }
+    fn body_end(&mut self, db: &DecodedBlock, end: usize) {
+        // Lines of the trailing warming-silent instructions.
+        self.lines_through(db.template[end - 1].pc);
+    }
+    fn term(&mut self, inst: DynInst) {
+        self.sink.warm_line(inst.pc);
+        self.sink.warm_control(inst);
+    }
+}
+
+impl InstStream for Interp<'_> {
+    #[inline]
+    fn next_inst(&mut self) -> Option<DynInst> {
+        let mut one = EmitOne(DynInst::int_alu(0));
+        (self.walk(&mut one, 1) == 1).then_some(one.0)
     }
 
-    /// Batched functional warming: serve one cached decoded block per call,
-    /// walking only its pre-classified warm lane ([`WarmKind`]) instead of
-    /// materializing a [`DynInst`] per instruction.
-    ///
-    /// Body PCs are sequential (`base_pc + 4*i`), so instruction-line
-    /// touches are emitted *arithmetically*: one [`WarmSink::warm_line`]
-    /// call at the chunk's first pc, then one per line crossing, interleaved
-    /// with the data accesses in program order (L1I and L1D share the L2, so
-    /// the relative order of instruction-line and data events is part of the
-    /// determinism contract). The sink dedups against its own last-line
-    /// state, so warming resumed mid-line stays exact.
-    ///
-    /// All interpreter state (cursors, PRNG, loop counters, call stack,
-    /// `emitted`) advances exactly as `consumed` calls to
-    /// [`InstStream::next_inst`] would advance it.
+    fn len_hint(&self) -> Option<u64> {
+        Some(self.prog.dynamic_len_estimate)
+    }
+
+    /// Fast-forward whole basic blocks at a time, replaying only the patch
+    /// lane (the stateful instructions) instead of scanning each body.
+    fn skip_n(&mut self, n: u64) -> u64 {
+        self.walk(&mut Skip, n)
+    }
+
+    /// Batched emission for the pipeline's fetch-ahead decode buffer: whole
+    /// basic-block bodies at a time, paying block/terminator dispatch once
+    /// per block instead of once per instruction.
+    fn next_block(&mut self, out: &mut Vec<DynInst>, max: usize) -> usize {
+        let mut emit = Emit {
+            out,
+            base: 0,
+            start: 0,
+        };
+        self.walk(&mut emit, max as u64) as usize
+    }
+
+    /// Batched functional warming: one decoded block per call, walking only
+    /// its patch lane instead of materializing a [`DynInst`] per
+    /// instruction (see [`Warm`] for the event order).
     fn warm_block(&mut self, sink: &mut dyn WarmSink, line_mask: u64, max: u64) -> u64 {
-        if self.done || max == 0 {
-            return 0;
-        }
-        let prog = self.prog;
-        if self.tcache.enabled() {
-            if let Some(db) = self.tcache.get_or_decode(prog, self.block) {
-                let mut consumed = 0u64;
-                let start = self.inst_idx;
-                let take = ((db.template.len() - start) as u64).min(max) as usize;
-                let end = start + take;
-                // line_mask = !(line_bytes - 1), so this recovers line_bytes.
-                let line_bytes = !line_mask + 1;
-                if take > 0 {
-                    // First pc whose line has not yet been offered to the
-                    // sink; advanced to the next line *start* after each
-                    // offer (starts are 4-aligned, so they are valid inst
-                    // pcs whenever the sequential pc walk reaches them).
-                    let mut pend_pc = db.template[start].pc;
-                    let lo = if start == 0 {
-                        0
-                    } else {
-                        db.warm_ops.partition_point(|w| (w.idx as usize) < start)
-                    };
-                    for w in &db.warm_ops[lo..] {
-                        let idx = w.idx as usize;
-                        if idx >= end {
-                            break;
-                        }
-                        match w.kind {
-                            WarmKind::Data {
-                                region,
-                                pattern,
-                                store,
-                            } => {
-                                let pc = db.template[idx].pc;
-                                while pend_pc <= pc {
-                                    sink.warm_line(pend_pc);
-                                    pend_pc = (pend_pc & line_mask) + line_bytes;
-                                }
-                                let a = Self::mem_addr_in(
-                                    &prog.regions,
-                                    &mut self.cursors,
-                                    &mut self.rng,
-                                    region,
-                                    pattern,
-                                );
-                                sink.warm_data(a, store);
-                            }
-                            // Stateful but warming-silent: advance exactly
-                            // the cursor/PRNG state unbatched emission would.
-                            WarmKind::Draw { region, pattern } => {
-                                let _ = Self::mem_addr_in(
-                                    &prog.regions,
-                                    &mut self.cursors,
-                                    &mut self.rng,
-                                    region,
-                                    pattern,
-                                );
-                            }
-                            WarmKind::Trivial { ppm } => {
-                                let _ = self.rng.chance_ppm(ppm);
-                            }
-                        }
-                    }
-                    // Lines of the trailing warming-silent instructions.
-                    let last_pc = db.template[end - 1].pc;
-                    while pend_pc <= last_pc {
-                        sink.warm_line(pend_pc);
-                        pend_pc = (pend_pc & line_mask) + line_bytes;
-                    }
-                    self.inst_idx = end;
-                    consumed += take as u64;
-                }
-                if consumed < max && end == db.template.len() {
-                    match Self::term_step(
-                        prog,
-                        &db.term,
-                        db.term_pc,
-                        db.bb_id,
-                        &mut self.loop_counters,
-                        &mut self.call_stack,
-                        &mut self.rng,
-                    ) {
-                        TermStep::Goto { next, inst } => {
-                            sink.warm_line(db.term_pc);
-                            sink.warm_control(inst);
-                            self.block = next;
-                            self.inst_idx = 0;
-                            consumed += 1;
-                        }
-                        TermStep::Halt => self.done = true,
-                    }
-                }
-                self.emitted += consumed;
-                self.note_work(consumed);
-                return consumed;
-            }
-        }
-        // Uncached fallback: identical events, one instruction at a time
-        // (next_inst maintains emitted / the work counter itself).
-        let mut consumed = 0u64;
-        while consumed < max {
-            let Some(inst) = self.next_inst() else {
-                break;
-            };
-            consumed += 1;
-            sink.warm_line(inst.pc);
-            if inst.op.is_control() {
-                sink.warm_control(inst);
-            } else if inst.op.is_mem() {
-                sink.warm_data(inst.mem_addr, inst.op == OpClass::Store);
-            }
-        }
-        consumed
+        let mut warm = Warm {
+            sink,
+            line_mask,
+            // line_mask = !(line_bytes - 1), so this recovers line_bytes.
+            line_bytes: !line_mask + 1,
+            pend_pc: 0,
+        };
+        self.walk(&mut warm, max)
     }
 }
 
@@ -1475,141 +1140,6 @@ mod tests {
     }
 
     #[test]
-    fn skip_n_matches_next_inst_exactly() {
-        // Every suite benchmark exercises all terminator and memory-pattern
-        // kinds; after skipping K instructions both interpreters must yield
-        // identical remainders (same rng, cursors, counters, call stack).
-        for b in crate::suite() {
-            let p = b.program_scaled(crate::InputSet::Reference, 0.01).unwrap();
-            for k in [0u64, 1, 7, 1_000, 4_099] {
-                let mut by_next = Interp::new(&p);
-                let mut by_skip = Interp::new(&p);
-                let mut stepped = 0;
-                for _ in 0..k {
-                    if by_next.next_inst().is_none() {
-                        break;
-                    }
-                    stepped += 1;
-                }
-                assert_eq!(by_skip.skip_n(k), stepped, "{}: skip count", b.name);
-                assert_eq!(by_skip.emitted(), by_next.emitted(), "{}", b.name);
-                for i in 0..2_000 {
-                    assert_eq!(
-                        by_skip.next_inst(),
-                        by_next.next_inst(),
-                        "{}: divergence {} insts after skipping {}",
-                        b.name,
-                        i,
-                        k
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn next_block_matches_next_inst_exactly() {
-        // The decode-buffer contract: block fills must yield the identical
-        // instruction sequence (and leave identical interpreter state) as
-        // one-at-a-time emission, for any batch size.
-        for b in crate::suite() {
-            let p = b.program_scaled(crate::InputSet::Reference, 0.01).unwrap();
-            for chunk in [1usize, 7, 64, 1024] {
-                let mut by_next = Interp::new(&p);
-                let mut by_block = Interp::new(&p);
-                let mut pulled = 0u64;
-                loop {
-                    let mut got = Vec::new();
-                    let n = by_block.next_block(&mut got, chunk);
-                    assert_eq!(got.len(), n, "{}: reported count", b.name);
-                    for (i, inst) in got.iter().enumerate() {
-                        assert_eq!(
-                            Some(*inst),
-                            by_next.next_inst(),
-                            "{}: divergence at inst {} (chunk {})",
-                            b.name,
-                            pulled + i as u64,
-                            chunk
-                        );
-                    }
-                    pulled += n as u64;
-                    if n == 0 || pulled > 20_000 {
-                        break;
-                    }
-                }
-                if pulled <= 20_000 {
-                    assert!(by_next.next_inst().is_none(), "{}: same end", b.name);
-                }
-                assert_eq!(by_block.emitted(), by_next.emitted(), "{}", b.name);
-            }
-        }
-    }
-
-    #[test]
-    fn next_block_under_eviction_pressure_matches_next_inst() {
-        // A trace cache too small to hold the working set must evict and
-        // re-decode, never diverge: the batched stream stays bit-identical
-        // to one-at-a-time emission (which never consults the cache).
-        for b in crate::suite() {
-            let p = b.program_scaled(crate::InputSet::Reference, 0.01).unwrap();
-            let mut by_next = Interp::new(&p);
-            let mut by_block = Interp::new(&p);
-            by_block.tcache_set_budget(2_048); // roughly one decoded block
-            let mut pulled = 0u64;
-            loop {
-                let mut got = Vec::new();
-                let n = by_block.next_block(&mut got, 64);
-                for inst in &got {
-                    assert_eq!(
-                        Some(*inst),
-                        by_next.next_inst(),
-                        "{}: divergence at inst {} under eviction",
-                        b.name,
-                        pulled
-                    );
-                    pulled += 1;
-                }
-                if n == 0 || pulled > 20_000 {
-                    break;
-                }
-            }
-            assert!(
-                by_block.cache_bytes() <= 2_048,
-                "{}: eviction must keep occupancy under the budget ({} B)",
-                b.name,
-                by_block.cache_bytes()
-            );
-        }
-    }
-
-    #[test]
-    fn skip_n_under_eviction_pressure_matches_next_inst() {
-        for b in crate::suite() {
-            let p = b.program_scaled(crate::InputSet::Reference, 0.01).unwrap();
-            let mut by_next = Interp::new(&p);
-            let mut by_skip = Interp::new(&p);
-            by_skip.tcache_set_budget(2_048);
-            let mut stepped = 0;
-            for _ in 0..4_099 {
-                if by_next.next_inst().is_none() {
-                    break;
-                }
-                stepped += 1;
-            }
-            assert_eq!(by_skip.skip_n(4_099), stepped, "{}", b.name);
-            for i in 0..2_000 {
-                assert_eq!(
-                    by_skip.next_inst(),
-                    by_next.next_inst(),
-                    "{}: divergence {} insts after eviction-pressure skip",
-                    b.name,
-                    i
-                );
-            }
-        }
-    }
-
-    #[test]
     fn skip_n_past_end_reports_actual_count() {
         let p = looped(10); // 30 dynamic instructions
         let mut it = Interp::new(&p);
@@ -1713,9 +1243,132 @@ mod tests {
         Interp::new(&q).restore(&state);
     }
 
+    /// The scalar per-instruction interpreter: the oracle every walker mode
+    /// must reproduce. It reads the static program directly (no trace
+    /// cache) and advances the same interpreter state one instruction at a
+    /// time.
+    fn ref_next(it: &mut Interp) -> Option<DynInst> {
+        if it.done {
+            return None;
+        }
+        let prog = it.prog;
+        let blk = &prog.blocks[it.block as usize];
+        let inst = if it.inst_idx < blk.insts.len() {
+            let si = blk.insts[it.inst_idx];
+            let pc = blk.base_pc + 4 * it.inst_idx as u64;
+            it.inst_idx += 1;
+            let mem_addr = match si.mem {
+                Some(m) => Interp::mem_addr_in(
+                    &prog.regions,
+                    &mut it.cursors,
+                    &mut it.rng,
+                    m.region,
+                    m.pattern,
+                ),
+                None => 0,
+            };
+            let trivial = si.trivial_ppm != 0 && it.rng.chance_ppm(si.trivial_ppm);
+            Some(DynInst {
+                pc,
+                op: si.op,
+                srcs: si.srcs,
+                dest: si.dest,
+                mem_addr,
+                taken: false,
+                next_pc: pc + 4,
+                trivial,
+                bb_id: blk.id,
+            })
+        } else {
+            ref_terminator(it)
+        };
+        if inst.is_some() {
+            it.emitted += 1;
+            it.note_work(1);
+        }
+        inst
+    }
+
+    /// Emit the terminator of the current block and advance control flow
+    /// (the oracle's half of [`Interp::term_step`]).
+    fn ref_terminator(it: &mut Interp) -> Option<DynInst> {
+        let prog = it.prog;
+        let blk = &prog.blocks[it.block as usize];
+        let (op, taken, next) = match &blk.term {
+            Terminator::Loop {
+                body,
+                exit,
+                loop_slot,
+                trips,
+            } => {
+                let c = &mut it.loop_counters[*loop_slot as usize];
+                *c += 1;
+                if *c < *trips {
+                    (OpClass::Branch, true, *body)
+                } else {
+                    *c = 0;
+                    (OpClass::Branch, false, *exit)
+                }
+            }
+            Terminator::CondProb {
+                taken_ppm,
+                taken,
+                not_taken,
+            } => {
+                let t = it.rng.chance_ppm(*taken_ppm);
+                (OpClass::Branch, t, if t { *taken } else { *not_taken })
+            }
+            Terminator::CondPeriodic {
+                period,
+                loop_slot,
+                taken,
+                not_taken,
+            } => {
+                let c = &mut it.loop_counters[*loop_slot as usize];
+                *c += 1;
+                let t = (*c).is_multiple_of(*period);
+                (OpClass::Branch, t, if t { *taken } else { *not_taken })
+            }
+            Terminator::Jump { target } => (OpClass::Jump, true, *target),
+            Terminator::Call { callee, ret } => {
+                it.call_stack.push(*ret);
+                (OpClass::Call, true, *callee)
+            }
+            Terminator::Return => match it.call_stack.pop() {
+                Some(next) => (OpClass::Return, true, next),
+                // Return with an empty stack ends the program.
+                None => {
+                    it.done = true;
+                    return None;
+                }
+            },
+            Terminator::Switch { targets } => {
+                let pick = it.rng.below(targets.len() as u64) as usize;
+                (OpClass::IndirectJump, true, targets[pick])
+            }
+            Terminator::Halt => {
+                it.done = true;
+                return None;
+            }
+        };
+        it.block = next;
+        it.inst_idx = 0;
+        Some(DynInst {
+            pc: blk.term_pc(),
+            op,
+            srcs: [0, 0],
+            dest: 0,
+            mem_addr: 0,
+            taken,
+            next_pc: prog.blocks[next as usize].base_pc,
+            trivial: false,
+            bb_id: blk.id,
+        })
+    }
+
     /// Recording [`WarmSink`] that mimics the engine sink's last-line dedup,
-    /// so the elided-`warm_line` lane path and the call-per-instruction
-    /// reference path reduce to comparable event sequences.
+    /// so the walker's elided `warm_line` calls and the oracle's
+    /// call-per-instruction reduce to comparable event sequences.
     #[derive(Debug, PartialEq, Clone, Copy)]
     enum WarmEv {
         Line(u64),
@@ -1755,95 +1408,205 @@ mod tests {
         }
     }
 
-    /// The scalar warming reference: exactly the engine's lanes-off loop
-    /// (materialize each instruction, classify, feed the sink).
-    fn warm_by_inst(it: &mut Interp, rec: &mut WarmRec, n: u64) -> u64 {
+    const LINE_MASK: u64 = !(64u64 - 1);
+
+    #[derive(Debug, Clone, Copy)]
+    enum Mode {
+        Emit,
+        Skip,
+        Warm,
+    }
+
+    /// What one drive observed: instructions consumed, instructions
+    /// emitted, and warm events.
+    type Observed = (u64, Vec<DynInst>, Vec<WarmEv>);
+
+    /// Drive the walker in `mode` for up to `n` instructions, `chunk` per
+    /// call.
+    fn drive_walker(it: &mut Interp, mode: Mode, chunk: u64, n: u64) -> Observed {
+        let mut insts = Vec::new();
+        let mut rec = WarmRec::new(LINE_MASK);
         let mut consumed = 0;
         while consumed < n {
-            let Some(i) = it.next_inst() else {
+            let c = chunk.min(n - consumed);
+            let got = match mode {
+                Mode::Emit => {
+                    let before = insts.len();
+                    let got = it.next_block(&mut insts, c as usize);
+                    assert_eq!(insts.len() - before, got, "next_block count");
+                    got as u64
+                }
+                Mode::Skip => it.skip_n(c),
+                Mode::Warm => it.warm_block(&mut rec, LINE_MASK, c),
+            };
+            if got == 0 {
+                break;
+            }
+            consumed += got;
+        }
+        (consumed, insts, rec.events)
+    }
+
+    /// The oracle's side of [`drive_walker`]: one instruction at a time,
+    /// warming exactly as the engine's scalar warm step classifies.
+    fn drive_oracle(it: &mut Interp, mode: Mode, n: u64) -> Observed {
+        let mut insts = Vec::new();
+        let mut rec = WarmRec::new(LINE_MASK);
+        let mut consumed = 0;
+        while consumed < n {
+            let Some(i) = ref_next(it) else {
                 break;
             };
             consumed += 1;
-            rec.warm_line(i.pc);
-            if i.op.is_control() {
-                rec.warm_control(i);
-            } else if i.op.is_mem() {
-                rec.warm_data(i.mem_addr, i.op == OpClass::Store);
+            match mode {
+                Mode::Emit => insts.push(i),
+                Mode::Skip => {}
+                Mode::Warm => {
+                    rec.warm_line(i.pc);
+                    if i.op.is_control() {
+                        rec.warm_control(i);
+                    } else if i.op.is_mem() {
+                        rec.warm_data(i.mem_addr, i.op == OpClass::Store);
+                    }
+                }
             }
         }
-        consumed
+        (consumed, insts, rec.events)
     }
 
-    fn assert_warm_block_matches(budget: Option<usize>) {
-        let line_mask = !(64u64 - 1);
+    /// Every walker mode at every chunk size, from each start position,
+    /// against the oracle: same instructions, same warm events, same final
+    /// [`InterpState`]. Returns how many starts landed mid-block.
+    fn assert_walker_matches_oracle(p: &Program, starts: &[u64], n: u64) -> usize {
+        let mut mid_block = 0;
+        for &start in starts {
+            for chunk in [1u64, 7, 64, 1024, u64::MAX] {
+                for mode in [Mode::Emit, Mode::Skip, Mode::Warm] {
+                    let mut walker = Interp::new(p);
+                    let mut oracle = Interp::new(p);
+                    for _ in 0..start {
+                        ref_next(&mut walker);
+                        ref_next(&mut oracle);
+                    }
+                    if walker.inst_idx > 0 && matches!(mode, Mode::Emit) && chunk == 1 {
+                        mid_block += 1;
+                    }
+                    let got = drive_walker(&mut walker, mode, chunk, n);
+                    let want = drive_oracle(&mut oracle, mode, n);
+                    let what = format!("{}: {mode:?} from {start} in chunks of {chunk}", p.name);
+                    assert_eq!(got.0, want.0, "{what}: consumed");
+                    assert!(got.1 == want.1, "{what}: emitted instructions diverge");
+                    assert!(got.2 == want.2, "{what}: warm events diverge");
+                    assert_eq!(walker.snapshot(), oracle.snapshot(), "{what}: final state");
+                }
+            }
+        }
+        mid_block
+    }
+
+    #[test]
+    fn walker_matches_oracle_on_every_suite_program() {
         for b in crate::suite() {
             let p = b.program_scaled(crate::InputSet::Reference, 0.01).unwrap();
-            for (skip, chunk) in [
-                (0u64, 1u64),
-                (0, 7),
-                (0, 1024),
-                (513, 64),
-                (2_041, u64::MAX),
-            ] {
-                let mut by_lane = Interp::new(&p);
-                let mut by_inst = Interp::new(&p);
-                if let Some(bytes) = budget {
-                    by_lane.tcache_set_budget(bytes);
-                }
-                by_lane.skip_n(skip);
-                by_inst.skip_n(skip);
-                let mut lane_rec = WarmRec::new(line_mask);
-                let mut inst_rec = WarmRec::new(line_mask);
-                let target = 10_000u64;
-                let mut consumed = 0;
-                while consumed < target {
-                    let got =
-                        by_lane.warm_block(&mut lane_rec, line_mask, chunk.min(target - consumed));
-                    if got == 0 {
-                        break;
-                    }
-                    consumed += got;
-                }
-                let by_ref = warm_by_inst(&mut by_inst, &mut inst_rec, consumed);
-                assert_eq!(by_ref, consumed, "{}: consumed counts", b.name);
-                assert_eq!(
-                    lane_rec.events, inst_rec.events,
-                    "{}: warm events diverge (skip {skip}, chunk {chunk})",
-                    b.name
-                );
-                assert_eq!(by_lane.emitted(), by_inst.emitted(), "{}", b.name);
-                // The interpreters are left in identical states: remainders
-                // must match instruction for instruction.
-                for i in 0..2_000 {
-                    assert_eq!(
-                        by_lane.next_inst(),
-                        by_inst.next_inst(),
-                        "{}: stream divergence {} insts after warming (skip {skip}, chunk {chunk})",
-                        b.name,
-                        i
-                    );
-                }
-            }
+            let mid = assert_walker_matches_oracle(&p, &[0, 3, 513, 2_041], 10_000);
+            assert!(mid > 0, "{}: no start landed mid-block", b.name);
         }
     }
 
-    #[test]
-    fn warm_block_matches_per_inst_warming_exactly() {
-        assert_warm_block_matches(None);
+    /// A seeded random CFG program from [`crate::builder`]: random phase
+    /// count, block sizes (empty bodies included), op mixes, memory
+    /// patterns, branch styles, switches, calls, triviality, and code
+    /// padding. Some non-memory ops also get a `MemRef` (an address draw
+    /// with no data access), which the builder itself never emits.
+    fn random_program(seed: u64) -> Program {
+        use crate::builder::ProgramBuilder;
+        use crate::builder::{BranchStyle, InputAdjust, MemUse, OpMix, PhaseSpec};
+        let mut r = SplitMix64::new(seed);
+        let mut below = |n: u64| r.below(n);
+        let mut b = ProgramBuilder::new(&format!("random-{seed}"), InputAdjust::REFERENCE);
+        let regions: Vec<u16> = (0..1 + below(3))
+            .map(|i| b.region(&format!("r{i}"), 1 << (8 + below(14))))
+            .collect();
+        b.set_code_pad(4 * below(24));
+        if below(2) == 0 {
+            b.set_locality(regions[0], below(600_000) as u32);
+        }
+        let phases: Vec<PhaseSpec> = (0..1 + below(3))
+            .map(|_| {
+                let lo = below(8) as u32;
+                PhaseSpec {
+                    name: "random",
+                    segments: 1 + below(12) as u32,
+                    insts_per_block: (lo, lo + below(16) as u32),
+                    mix: OpMix {
+                        load: below(30) as u32,
+                        store: below(15) as u32,
+                        fp_alu: below(10) as u32,
+                        fp_mult: below(5) as u32,
+                        fp_div: below(3) as u32,
+                        int_mult: below(5) as u32,
+                        int_div: below(3) as u32,
+                    },
+                    mem: (0..1 + below(3))
+                        .map(|_| MemUse {
+                            region: regions[below(regions.len() as u64) as usize],
+                            pattern: match below(4) {
+                                0 => MemPattern::Stride {
+                                    step: 8 << below(5),
+                                },
+                                1 => MemPattern::Random,
+                                2 => MemPattern::Chase,
+                                _ => MemPattern::Fixed {
+                                    offset: below(1 << 16),
+                                },
+                            },
+                            weight: 1 + below(4) as u32,
+                        })
+                        .collect(),
+                    branches: match below(4) {
+                        0 => BranchStyle::Predictable,
+                        1 => BranchStyle::Biased,
+                        2 => BranchStyle::Random,
+                        _ => BranchStyle::Periodic(2 + below(6) as u32),
+                    },
+                    switch_targets: [0, 0, 2, 3, 5][below(5) as usize],
+                    call_pml: below(400) as u32,
+                    trivial_ppm: below(600_000) as u32,
+                    target_insts: 2_000 + below(20_000),
+                    scale_with_input: true,
+                }
+            })
+            .collect();
+        let mut p = b.build_phases(&phases);
+        for blk in &mut p.blocks {
+            for si in &mut blk.insts {
+                if !si.op.is_mem() && below(10) == 0 {
+                    si.mem = Some(MemRef {
+                        region: regions[0],
+                        pattern: MemPattern::Random,
+                    });
+                }
+            }
+        }
+        p.validate().unwrap();
+        p
     }
 
     #[test]
-    fn warm_block_under_eviction_pressure_matches_per_inst_warming() {
-        // A budget of ~one block forces constant decode/evict churn on the
-        // lane path; events and stream position must not shift.
-        assert_warm_block_matches(Some(2_048));
-    }
-
-    #[test]
-    fn warm_block_without_cacheable_blocks_matches_per_inst_warming() {
-        // A 1-byte budget makes every block exceed the whole budget, so the
-        // lane path degrades to the per-instruction fallback.
-        assert_warm_block_matches(Some(1));
+    fn walker_matches_oracle_on_random_cfg_programs() {
+        // Long enough windows that every program runs to its end, so the
+        // Halt path and the post-halt state are compared too.
+        for seed in 0..16u64 {
+            let p = random_program(0x5eed_0000 + seed);
+            assert_walker_matches_oracle(&p, &[0, 5], 1_000_000);
+            let mut it = Interp::new(&p);
+            assert!(
+                it.skip_n(u64::MAX) > 1_000,
+                "{}: nontrivial program",
+                p.name
+            );
+            assert!(it.is_done(), "{}: ran to completion", p.name);
+        }
     }
 
     #[test]

@@ -1,33 +1,24 @@
 //! The pre-decoded basic-block trace cache.
 //!
-//! Interpreting a basic block in [`crate::Interp::next_block`] re-derives,
-//! for every dynamic instruction, fields that are pure functions of the
-//! *static* program: the PC, opcode, register indices, fall-through
-//! `next_pc`, and block id. The trace cache decodes each block once into a
-//! dense [`DynInst`] template lane plus a patch list naming the instructions
-//! whose dynamic fields (effective address, triviality draw) must still be
-//! computed per execution. Re-executions then serve the block as one
-//! `memcpy` followed by a short patch walk, and fast-forward
-//! ([`crate::Interp::skip_n`]) replays *only* the stateful instructions
-//! instead of scanning the whole body.
+//! Interpreting a basic block re-derives, for every dynamic instruction,
+//! fields that are pure functions of the *static* program: the PC, opcode,
+//! register indices, fall-through `next_pc`, and block id. The trace cache
+//! decodes each block once into a dense [`DynInst`] template lane plus one
+//! patch lane naming the instructions whose dynamic fields (effective
+//! address, triviality draw) must still be computed per execution. Every
+//! stream mode of [`crate::Interp`] walks this one record: emission copies
+//! the template and applies the patches, fast-forward replays *only* the
+//! patches, and functional warming reads the patches' pre-classified warm
+//! effects.
 //!
-//! The cache is a host-side accelerator only: every cursor, PRNG draw, and
-//! loop counter advances in exactly the order the uncached interpreter
-//! advances them, so the emitted stream is bit-identical with the cache on,
-//! off, or evicting under memory pressure ([`SIM_TRACE_CACHE`] /
-//! [`SIM_TRACE_CACHE_MB`]). It is also config-independent: templates depend
-//! only on the [`Program`], never on a machine configuration.
-//!
-//! [`SIM_TRACE_CACHE`]: TraceCache::from_env
-//! [`SIM_TRACE_CACHE_MB`]: TraceCache::from_env
+//! Every cursor, PRNG draw, and loop counter advances in exactly the order
+//! the scalar per-instruction interpreter (kept as the test oracle)
+//! advances them. The cache is also config-independent: records depend
+//! only on the [`Program`], never on a machine configuration. Occupancy is
+//! bounded by the program's static block count, so nothing is ever evicted.
 
 use crate::program::{MemPattern, Program, Terminator};
 use sim_core::isa::{Addr, DynInst, OpClass};
-
-/// Default byte budget for one execution's decoded blocks (64 MiB — far
-/// above any suite program's static footprint, so eviction only happens when
-/// `SIM_TRACE_CACHE_MB` forces it).
-const DEFAULT_BUDGET_MB: usize = 64;
 
 /// A dynamic field of one body instruction that must be recomputed per
 /// execution, in program order ([`DecodedBlock::patches`]).
@@ -35,47 +26,17 @@ const DEFAULT_BUDGET_MB: usize = 64;
 pub(crate) struct Patch {
     /// Index of the instruction within the block body.
     pub idx: u32,
-    /// Which field to patch.
+    /// Which field to patch, and what warming does with it.
     pub kind: PatchKind,
 }
 
-/// The dynamic field a [`Patch`] recomputes.
+/// The dynamic field a [`Patch`] recomputes. [`Program::validate`]
+/// guarantees bodies hold no control ops and that every memory-class op
+/// carries a `MemRef`, so three kinds cover every stateful instruction.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum PatchKind {
-    /// Effective address: advance the region cursor / PRNG exactly as
-    /// [`crate::Interp`]'s unbatched emission would.
-    Mem {
-        /// Region index ([`Program::regions`]).
-        region: u16,
-        /// Access pattern.
-        pattern: MemPattern,
-    },
-    /// Triviality draw (`trivial_ppm != 0`): one PRNG chance per instance.
-    Trivial {
-        /// Probability in parts per million.
-        ppm: u32,
-    },
-}
-
-/// One entry of a block's functional-warming lane ([`DecodedBlock::warm_ops`]):
-/// the stateful effect of one body instruction, pre-classified at decode time
-/// so the warm path touches only the instructions that matter.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct WarmOp {
-    /// Index of the instruction within the block body.
-    pub idx: u32,
-    /// What warming has to do for it.
-    pub kind: WarmKind,
-}
-
-/// The warming effect of one body instruction. [`Program::validate`]
-/// guarantees bodies hold no control ops and that every memory-class op
-/// carries a `MemRef`, so three kinds cover every instruction that is not a
-/// pure no-op for warming.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum WarmKind {
     /// Memory-class op: draw the effective address (advancing the region
-    /// cursor / PRNG exactly as unbatched emission) and warm the data side.
+    /// cursor / PRNG) and, when warming, touch the data side.
     Data {
         /// Region index ([`Program::regions`]).
         region: u16,
@@ -84,16 +45,16 @@ pub(crate) enum WarmKind {
         /// Whether the access is a store.
         store: bool,
     },
-    /// A `MemRef` on a non-memory op: the cursor / PRNG must advance, but
-    /// warming observes no data access (mirrors the scalar warm step, which
-    /// only touches the hierarchy for memory-class ops).
+    /// A `MemRef` on a non-memory op: the address is drawn and emitted,
+    /// but warming observes no data access (the scalar warm step only
+    /// touches the hierarchy for memory-class ops).
     Draw {
         /// Region index ([`Program::regions`]).
         region: u16,
         /// Access pattern.
         pattern: MemPattern,
     },
-    /// Triviality draw (`trivial_ppm != 0`): one PRNG chance, no warm event.
+    /// Triviality draw (`trivial_ppm != 0`): one PRNG chance per instance.
     Trivial {
         /// Probability in parts per million.
         ppm: u32,
@@ -147,7 +108,7 @@ pub(crate) enum DecodedTerm {
 }
 
 /// One basic block, decoded: a ready-to-copy [`DynInst`] lane for the body,
-/// the patch list for its dynamic fields, and the pre-resolved terminator.
+/// the patch lane for its dynamic fields, and the pre-resolved terminator.
 #[derive(Debug, Clone)]
 pub(crate) struct DecodedBlock {
     /// Fully-formed body instructions with static fields resolved
@@ -155,21 +116,18 @@ pub(crate) struct DecodedBlock {
     pub template: Box<[DynInst]>,
     /// Dynamic-field patches, sorted by instruction index; for one
     /// instruction the address patch precedes the triviality patch (the
-    /// PRNG draw order of unbatched emission).
+    /// PRNG draw order of per-instruction emission).
     pub patches: Box<[Patch]>,
-    /// Functional-warming lane: the stateful instructions again, but
-    /// pre-classified for [`crate::Interp::warm_block`] (store bit resolved,
-    /// warming-irrelevant draws separated). Same ordering contract as
-    /// `patches`: sorted by index, address draw before triviality draw.
-    pub warm_ops: Box<[WarmOp]>,
+    /// `patch_start[i]` is the number of patches of body instructions
+    /// before `i` (`template.len() + 1` entries), so the patches of body
+    /// chunk `start..end` are `patches[patch_start[start]..patch_start[end]]`.
+    pub patch_start: Box<[u32]>,
     /// Terminator with successor PCs resolved.
     pub term: DecodedTerm,
     /// PC of the terminator instruction.
     pub term_pc: Addr,
     /// The block's static id ([`crate::BasicBlock::id`]).
     pub bb_id: u32,
-    /// Approximate heap bytes this decoded block occupies.
-    pub bytes: usize,
 }
 
 impl DecodedBlock {
@@ -177,44 +135,29 @@ impl DecodedBlock {
         let blk = &prog.blocks[block as usize];
         let mut template = Vec::with_capacity(blk.insts.len());
         let mut patches = Vec::new();
-        let mut warm_ops = Vec::new();
+        let mut patch_start = Vec::with_capacity(blk.insts.len() + 1);
         for (i, si) in blk.insts.iter().enumerate() {
+            patch_start.push(patches.len() as u32);
             let pc = blk.base_pc + 4 * i as u64;
             debug_assert!(!si.op.is_control(), "control op in a block body");
+            let idx = i as u32;
             if let Some(m) = si.mem {
-                patches.push(Patch {
-                    idx: i as u32,
-                    kind: PatchKind::Mem {
-                        region: m.region,
-                        pattern: m.pattern,
-                    },
-                });
-                warm_ops.push(WarmOp {
-                    idx: i as u32,
-                    kind: if si.op.is_mem() {
-                        WarmKind::Data {
-                            region: m.region,
-                            pattern: m.pattern,
-                            store: si.op == OpClass::Store,
-                        }
-                    } else {
-                        WarmKind::Draw {
-                            region: m.region,
-                            pattern: m.pattern,
-                        }
-                    },
-                });
+                let (region, pattern) = (m.region, m.pattern);
+                let kind = if si.op.is_mem() {
+                    PatchKind::Data {
+                        region,
+                        pattern,
+                        store: si.op == OpClass::Store,
+                    }
+                } else {
+                    PatchKind::Draw { region, pattern }
+                };
+                patches.push(Patch { idx, kind });
             }
             if si.trivial_ppm != 0 {
                 patches.push(Patch {
-                    idx: i as u32,
+                    idx,
                     kind: PatchKind::Trivial {
-                        ppm: si.trivial_ppm,
-                    },
-                });
-                warm_ops.push(WarmOp {
-                    idx: i as u32,
-                    kind: WarmKind::Trivial {
                         ppm: si.trivial_ppm,
                     },
                 });
@@ -231,6 +174,7 @@ impl DecodedBlock {
                 bb_id: blk.id,
             });
         }
+        patch_start.push(patches.len() as u32);
         let pc_of = |b: u32| prog.blocks[b as usize].base_pc;
         let term = match &blk.term {
             Terminator::Loop {
@@ -285,34 +229,28 @@ impl DecodedBlock {
             },
             Terminator::Halt => DecodedTerm::Halt,
         };
-        let switch_bytes = match &term {
-            DecodedTerm::Switch { targets } => std::mem::size_of_val(targets.as_ref()),
-            _ => 0,
-        };
-        let bytes = std::mem::size_of::<DecodedBlock>()
-            + template.len() * std::mem::size_of::<DynInst>()
-            + patches.len() * std::mem::size_of::<Patch>()
-            + warm_ops.len() * std::mem::size_of::<WarmOp>()
-            + switch_bytes;
         DecodedBlock {
             template: template.into_boxed_slice(),
             patches: patches.into_boxed_slice(),
-            warm_ops: warm_ops.into_boxed_slice(),
+            patch_start: patch_start.into_boxed_slice(),
             term,
             term_pc: blk.term_pc(),
             bb_id: blk.id,
-            bytes,
         }
     }
-}
 
-/// Hit/miss/eviction tallies, accumulated locally and flushed to the
-/// sim-obs metrics registry in one batch (see [`TraceCache::flush_metrics`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct TraceCacheTallies {
-    pub hits: u64,
-    pub misses: u64,
-    pub evicts: u64,
+    /// Approximate heap bytes this decoded block occupies.
+    fn bytes(&self) -> usize {
+        let switch_bytes = match &self.term {
+            DecodedTerm::Switch { targets } => std::mem::size_of_val(targets.as_ref()),
+            _ => 0,
+        };
+        std::mem::size_of::<DecodedBlock>()
+            + std::mem::size_of_val(self.template.as_ref())
+            + std::mem::size_of_val(self.patches.as_ref())
+            + std::mem::size_of_val(self.patch_start.as_ref())
+            + switch_bytes
+    }
 }
 
 /// One execution's pre-decoded block cache (see the module docs).
@@ -322,18 +260,14 @@ pub(crate) struct TraceCacheTallies {
 /// once-per-static-block cost, negligible next to re-execution counts).
 #[derive(Debug)]
 pub(crate) struct TraceCache {
-    /// Decoded blocks, indexed by [`crate::BlockId`]; `None` = not cached.
+    /// Decoded blocks, indexed by [`crate::BlockId`]; `None` = not decoded yet.
     blocks: Vec<Option<DecodedBlock>>,
     /// Total bytes of cached decoded state.
     bytes: usize,
-    /// Byte budget; inserting past it evicts via the clock hand.
-    budget: usize,
-    /// Disabled caches serve every request from the uncached decode path.
-    enabled: bool,
-    /// Round-robin eviction hand over `blocks`.
-    clock: usize,
-    /// Local tallies (flushed on drop / on demand).
-    pub tallies: TraceCacheTallies,
+    /// Lookups served from an already-decoded block (flushed on drop).
+    hits: u64,
+    /// Lookups that decoded the block (flushed on drop).
+    misses: u64,
     /// Distribution of miss-path probe costs (decode nanoseconds per
     /// block), recorded only while tracing is enabled: the hit path stays
     /// untimed (it is the thing being protected) and the disabled path
@@ -343,107 +277,57 @@ pub(crate) struct TraceCache {
 }
 
 impl TraceCache {
-    /// Build a cache for `prog` honoring `SIM_TRACE_CACHE` (default on) and
-    /// `SIM_TRACE_CACHE_MB` (byte budget, default 64 MiB).
-    pub fn from_env(prog: &Program) -> TraceCache {
-        let enabled = sim_obs::env_flag("SIM_TRACE_CACHE", true);
-        let budget = sim_obs::env_val::<usize>("SIM_TRACE_CACHE_MB")
-            .unwrap_or(DEFAULT_BUDGET_MB)
-            .saturating_mul(1 << 20)
-            .max(1);
+    /// An empty cache with one slot per static block of `prog`.
+    pub fn new(prog: &Program) -> TraceCache {
         TraceCache {
-            blocks: if enabled {
-                vec![None; prog.blocks.len()]
-            } else {
-                Vec::new()
-            },
+            blocks: vec![None; prog.blocks.len()],
             bytes: 0,
-            budget,
-            enabled,
-            clock: 0,
-            tallies: TraceCacheTallies::default(),
+            hits: 0,
+            misses: 0,
             probe_ns: sim_obs::LocalHist::new(),
         }
     }
 
-    /// Whether the cache serves requests at all.
+    /// The decoded form of `block`, decoding it on first use.
     #[inline]
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Bytes of decoded state currently held.
-    pub fn bytes(&self) -> usize {
-        self.bytes
-    }
-
-    /// The decoded form of `block`, decoding (and possibly evicting) on
-    /// miss. Returns `None` when the cache is disabled or the block alone
-    /// exceeds the whole budget — callers fall back to the uncached path,
-    /// which produces the identical stream.
-    #[inline]
-    pub fn get_or_decode(&mut self, prog: &Program, block: u32) -> Option<&DecodedBlock> {
-        if !self.enabled {
-            return None;
-        }
-        let slot = block as usize;
-        if self.blocks[slot].is_none() {
-            self.tallies.misses += 1;
-            let timed = sim_obs::trace::enabled().then(std::time::Instant::now);
-            let db = DecodedBlock::decode(prog, block);
-            if let Some(t) = timed {
-                self.probe_ns.record(t.elapsed().as_nanos() as u64);
-            }
-            if db.bytes > self.budget {
-                // Degrades to re-decode, never to wrong numbers.
-                return None;
-            }
-            while self.bytes + db.bytes > self.budget {
-                self.evict_one(slot);
-            }
-            self.bytes += db.bytes;
-            self.blocks[slot] = Some(db);
+    pub fn get_or_decode(&mut self, prog: &Program, block: u32) -> &DecodedBlock {
+        if self.blocks[block as usize].is_some() {
+            self.hits += 1;
         } else {
-            self.tallies.hits += 1;
+            self.decode(prog, block);
         }
-        self.blocks[slot].as_ref()
+        self.blocks[block as usize]
+            .as_ref()
+            .expect("block was decoded above")
     }
 
-    /// Evict one cached block (round-robin), never `keep`.
-    fn evict_one(&mut self, keep: usize) {
-        debug_assert!(self.bytes > 0, "evicting from an empty cache");
-        loop {
-            let i = self.clock;
-            self.clock = (self.clock + 1) % self.blocks.len();
-            if i != keep {
-                if let Some(db) = self.blocks[i].take() {
-                    self.bytes -= db.bytes;
-                    self.tallies.evicts += 1;
-                    return;
-                }
-            }
+    /// The miss path of [`TraceCache::get_or_decode`], kept out of line so
+    /// the hit path stays small where it inlines into the walk.
+    #[cold]
+    #[inline(never)]
+    fn decode(&mut self, prog: &Program, block: u32) {
+        self.misses += 1;
+        let timed = sim_obs::trace::enabled().then(std::time::Instant::now);
+        let db = DecodedBlock::decode(prog, block);
+        if let Some(t) = timed {
+            self.probe_ns.record(t.elapsed().as_nanos() as u64);
         }
-    }
-
-    /// Test hook: shrink the byte budget (forces eviction on later inserts).
-    #[cfg(test)]
-    pub(crate) fn set_budget(&mut self, bytes: usize) {
-        self.budget = bytes.max(1);
+        self.bytes += db.bytes();
+        self.blocks[block as usize] = Some(db);
     }
 
     /// Flush the local tallies into the sim-obs metrics registry
-    /// (`pipeline.trace_cache.{hit,miss,evict,bytes}`); called once per
+    /// (`pipeline.trace_cache.{hit,miss,bytes}`); called once per
     /// interpreter lifetime so the serve path never touches the registry.
     pub fn flush_metrics(&mut self) {
-        let t = &mut self.tallies;
-        if t.hits == 0 && t.misses == 0 && t.evicts == 0 {
+        if self.hits == 0 && self.misses == 0 {
             return;
         }
-        sim_obs::metrics::counter("pipeline.trace_cache.hit").add(t.hits);
-        sim_obs::metrics::counter("pipeline.trace_cache.miss").add(t.misses);
-        sim_obs::metrics::counter("pipeline.trace_cache.evict").add(t.evicts);
+        sim_obs::metrics::counter("pipeline.trace_cache.hit").add(self.hits);
+        sim_obs::metrics::counter("pipeline.trace_cache.miss").add(self.misses);
         sim_obs::metrics::gauge("pipeline.trace_cache.bytes").set(self.bytes as u64);
-        *t = TraceCacheTallies::default();
+        self.hits = 0;
+        self.misses = 0;
         if !self.probe_ns.is_empty() {
             self.probe_ns
                 .merge_into(&sim_obs::metrics::histogram("hist.tcache.probe_ns"));
@@ -472,16 +356,38 @@ mod tests {
             let n_mem = blk.insts.iter().filter(|si| si.mem.is_some()).count();
             let n_triv = blk.insts.iter().filter(|si| si.trivial_ppm != 0).count();
             assert_eq!(db.patches.len(), n_mem + n_triv);
-            // Patches are sorted by instruction index (stable: mem first).
+            // Patches are sorted by instruction index (stable: address
+            // draw before triviality draw for one instruction).
             for w in db.patches.windows(2) {
                 assert!(w[0].idx <= w[1].idx);
                 if w[0].idx == w[1].idx {
                     assert!(
-                        matches!(w[0].kind, PatchKind::Mem { .. })
+                        !matches!(w[0].kind, PatchKind::Trivial { .. })
                             && matches!(w[1].kind, PatchKind::Trivial { .. }),
                         "same-instruction patches keep PRNG draw order"
                     );
                 }
+            }
+            // Address patches split into Data (memory ops, store bit
+            // resolved) vs Draw (address draw on a non-memory op).
+            for patch in db.patches.iter() {
+                let si = &blk.insts[patch.idx as usize];
+                match patch.kind {
+                    PatchKind::Data { region, store, .. } => {
+                        assert_eq!(Some(region), si.mem.map(|m| m.region));
+                        assert!(si.op.is_mem());
+                        assert_eq!(store, si.op == OpClass::Store);
+                    }
+                    PatchKind::Draw { region, .. } => {
+                        assert_eq!(Some(region), si.mem.map(|m| m.region));
+                        assert!(!si.op.is_mem(), "Draw is for refs on non-memory ops");
+                    }
+                    PatchKind::Trivial { ppm } => assert_eq!(ppm, si.trivial_ppm),
+                }
+            }
+            for j in 0..=blk.insts.len() {
+                let before = db.patches.iter().filter(|p| (p.idx as usize) < j).count();
+                assert_eq!(db.patch_start[j] as usize, before, "patch_start[{j}]");
             }
             for (j, inst) in db.template.iter().enumerate() {
                 assert_eq!(inst.pc, blk.base_pc + 4 * j as u64);
@@ -489,74 +395,7 @@ mod tests {
                 assert_eq!(inst.op, blk.insts[j].op);
                 assert_eq!(inst.bb_id, blk.id);
             }
-            // The warm lane mirrors the patch list one-to-one: same indices
-            // in the same order, with mem patches split into Data (memory
-            // ops) vs Draw (address draw on a non-memory op) and the store
-            // bit resolved at decode time.
-            assert_eq!(db.warm_ops.len(), db.patches.len());
-            for (w, p) in db.warm_ops.iter().zip(db.patches.iter()) {
-                assert_eq!(w.idx, p.idx);
-                let si = &blk.insts[w.idx as usize];
-                match (w.kind, p.kind) {
-                    (WarmKind::Data { region, store, .. }, PatchKind::Mem { region: pr, .. }) => {
-                        assert_eq!(region, pr);
-                        assert!(si.op.is_mem());
-                        assert_eq!(store, si.op == OpClass::Store);
-                    }
-                    (WarmKind::Draw { region, .. }, PatchKind::Mem { region: pr, .. }) => {
-                        assert_eq!(region, pr);
-                        assert!(!si.op.is_mem(), "Draw is for refs on non-memory ops");
-                    }
-                    (WarmKind::Trivial { ppm }, PatchKind::Trivial { ppm: pp }) => {
-                        assert_eq!(ppm, pp);
-                    }
-                    (w, p) => panic!("lane/patch kind mismatch: {w:?} vs {p:?}"),
-                }
-            }
         }
-    }
-
-    #[test]
-    fn tiny_budget_forces_eviction_and_still_serves() {
-        let p = prog();
-        let mut tc = TraceCache {
-            blocks: vec![None; p.blocks.len()],
-            bytes: 0,
-            // Enough for roughly one block, so every second distinct block
-            // evicts the previous one.
-            budget: 2_048,
-            enabled: true,
-            clock: 0,
-            tallies: TraceCacheTallies::default(),
-            probe_ns: sim_obs::LocalHist::new(),
-        };
-        let mut served = 0;
-        for round in 0..3 {
-            for b in 0..p.blocks.len() as u32 {
-                if tc.get_or_decode(&p, b).is_some() {
-                    served += 1;
-                }
-                assert!(tc.bytes <= tc.budget, "budget respected (round {round})");
-            }
-        }
-        assert!(served > 0, "some blocks fit the tiny budget");
-        assert!(tc.tallies.evicts > 0, "tiny budget must evict");
-    }
-
-    #[test]
-    fn disabled_cache_serves_nothing() {
-        let p = prog();
-        let mut tc = TraceCache {
-            blocks: Vec::new(),
-            bytes: 0,
-            budget: 1 << 20,
-            enabled: false,
-            clock: 0,
-            tallies: TraceCacheTallies::default(),
-            probe_ns: sim_obs::LocalHist::new(),
-        };
-        assert!(tc.get_or_decode(&p, 0).is_none());
-        assert_eq!(tc.tallies.misses, 0, "disabled caches do not tally");
     }
 
     #[test]
@@ -564,15 +403,7 @@ mod tests {
         // The CI floor: on re-execution every block is already decoded, so
         // hits dominate misses by the blocks' dynamic repetition counts.
         let p = prog();
-        let mut tc = TraceCache {
-            blocks: vec![None; p.blocks.len()],
-            bytes: 0,
-            budget: 64 << 20,
-            enabled: true,
-            clock: 0,
-            tallies: TraceCacheTallies::default(),
-            probe_ns: sim_obs::LocalHist::new(),
-        };
+        let mut tc = TraceCache::new(&p);
         for _ in 0..2 {
             for b in 0..p.blocks.len() as u32 {
                 for _ in 0..10 {
@@ -580,8 +411,8 @@ mod tests {
                 }
             }
         }
-        let t = tc.tallies;
-        let ratio = t.hits as f64 / (t.hits + t.misses) as f64;
+        assert_eq!(tc.misses, p.blocks.len() as u64, "each block decodes once");
+        let ratio = tc.hits as f64 / (tc.hits + tc.misses) as f64;
         assert!(ratio >= 0.9, "hit ratio {ratio} below the 90% floor");
     }
 }
