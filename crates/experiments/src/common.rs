@@ -93,19 +93,12 @@ pub fn cache_stats_summary() -> String {
     let snap = sim_obs::metrics::snapshot();
     let mut line = format!(
         "run cache: {} hits / {} misses ({} cached); checkpoints: \
-         arch {}/{} hits, warm {}/{} hits ({} refused, {} B held), \
-         prefix-trace {}/{} hits; {} insts functionally executed",
+         arch {}/{} hits; {} insts functionally executed",
         metric(&snap, "run_cache.hits"),
         metric(&snap, "run_cache.misses"),
         techniques::cache::global().len(),
         metric(&snap, "ckpt.arch.hits"),
         metric(&snap, "ckpt.arch.hits") + metric(&snap, "ckpt.arch.misses"),
-        metric(&snap, "ckpt.warm.hits"),
-        metric(&snap, "ckpt.warm.hits") + metric(&snap, "ckpt.warm.misses"),
-        metric(&snap, "ckpt.warm.refusals"),
-        metric(&snap, "ckpt.warm.bytes"),
-        metric(&snap, "ckpt.prefix.hits"),
-        metric(&snap, "ckpt.prefix.hits") + metric(&snap, "ckpt.prefix.misses"),
         sim_core::checkpoint::functional_insts(),
     );
     if let Some(store) = sim_store::global() {

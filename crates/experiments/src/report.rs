@@ -1042,6 +1042,33 @@ mod tests {
     }
 
     #[test]
+    fn legacy_provenance_words_still_validate() {
+        // `trace-replay` and `warm-ckpt` named checkpoint tiers that no
+        // longer exist; ledgers written while they did must still load.
+        for word in ["trace-replay", "warm-ckpt"] {
+            let legacy = RECORD.replace(
+                "\"provenance\":\"cold\"",
+                &format!("\"provenance\":\"{word}\""),
+            );
+            let path = write_ledger(&format!("legacy-{word}"), &[&legacy]);
+            let plain = write_ledger(&format!("legacy-plain-{word}"), &[RECORD]);
+            let files = [path.clone()];
+            assert_eq!(
+                check(&files).expect("legacy word passes --check"),
+                "ok: 1 records"
+            );
+            assert_eq!(
+                canon(&files).expect("legacy word passes --canon"),
+                canon(std::slice::from_ref(&plain)).unwrap(),
+                "provenance stays out of the canonical projection"
+            );
+            for p in [path, plain] {
+                let _ = std::fs::remove_file(&p);
+            }
+        }
+    }
+
+    #[test]
     fn quantile_uses_bucket_upper_edges_clamped_to_max() {
         let mut h = HistAgg {
             count: 4,

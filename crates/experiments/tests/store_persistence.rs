@@ -121,6 +121,47 @@ fn warm_store_rerun_is_byte_identical_and_mostly_hits() {
     );
 }
 
+/// Stores filled by older builds also hold records of two retired
+/// checkpoint tiers (`warm/v2` machine checkpoints, `prefix/v1` prefix
+/// traces). Nothing reads those namespaces any more: a rerun over such a
+/// store must print the same report, still serve its runs from the store,
+/// and leave the store verifying clean.
+#[test]
+fn retired_tier_records_are_ignored_by_a_rerun() {
+    let dir = scratch("retired");
+    let (cold_out, _) = run_fig2(&dir, "2");
+
+    let store = sim_store::Store::open(&dir).unwrap();
+    for (ns, n) in [("warm/v2", 3u8), ("prefix/v1", 2)] {
+        for i in 0..n {
+            let key = sim_store::Key::of(&[ns.as_bytes(), &[i]].concat());
+            store.put(ns, key, vec![0xa5; 64 + usize::from(i)]);
+        }
+    }
+    store.flush().unwrap();
+    drop(store);
+
+    let (out, err) = run_fig2(&dir, "3");
+    assert_eq!(cold_out, out, "retired records must not change the report");
+    let hits = metric(&err, "store.hit");
+    let misses = metric(&err, "store.miss");
+    assert!(
+        hits * 10 >= (hits + misses) * 9 && hits > 0,
+        "expected >=90% store hits, got {hits} hits / {misses} misses"
+    );
+
+    let store = sim_store::Store::open(&dir).unwrap();
+    let report = store.verify().unwrap();
+    assert!(
+        report.clean(),
+        "store verifies clean: {:?}",
+        report.problems
+    );
+    let by_ns = store.stat().unwrap().by_ns;
+    assert_eq!(by_ns.get("warm/v2").map(|e| e.0), Some(3), "{by_ns:?}");
+    assert_eq!(by_ns.get("prefix/v1").map(|e| e.0), Some(2), "{by_ns:?}");
+}
+
 /// Sharding composes with the persistent store: a store populated by a
 /// serial run serves a sharded rerun byte-identically, and a store
 /// populated by a *sharded* run serves a serial rerun the same way — the

@@ -8,7 +8,7 @@
 
 use crate::config::BranchConfig;
 use crate::isa::{Addr, DynInst, OpClass};
-use crate::state::{ByteReader, ByteWriter, StateError};
+use crate::state::ByteWriter;
 
 /// Saturating 2-bit counter helpers.
 #[inline]
@@ -408,8 +408,8 @@ fn btb_update_in(
     };
 }
 
-// Serialization of dynamic state (see `crate::state`): table sizes and
-// masks are rebuilt from the config; only learned contents travel.
+// State encoding (see `crate::state`): table sizes and masks come from the
+// config; only learned contents are written.
 impl BranchPredictor {
     pub(crate) fn save_state(&self, w: &mut ByteWriter) {
         for table in [&self.bimodal, &self.gshare, &self.meta] {
@@ -436,48 +436,6 @@ impl BranchPredictor {
         w.put_u64(self.stats.target_mispredicts);
         w.put_u64(self.stats.control_insts);
         w.put_u64(self.stats.ras_correct);
-    }
-
-    pub(crate) fn load_state(
-        cfg: BranchConfig,
-        r: &mut ByteReader<'_>,
-    ) -> Result<Self, StateError> {
-        let ras_cap = cfg.ras_entries as usize;
-        let mut b = BranchPredictor::new(cfg);
-        for table in [&mut b.bimodal, &mut b.gshare, &mut b.meta] {
-            if r.get_usize()? != table.len() {
-                return Err(StateError::Invalid("predictor table size mismatch"));
-            }
-            for c in table.iter_mut() {
-                *c = r.get_u8()?;
-            }
-        }
-        b.history = r.get_u64()?;
-        if r.get_usize()? != b.btb.len() {
-            return Err(StateError::Invalid("BTB size mismatch"));
-        }
-        for e in &mut b.btb {
-            e.tag = r.get_u64()?;
-            e.target = r.get_u64()?;
-            e.valid = r.get_bool()?;
-            e.stamp = r.get_u64()?;
-        }
-        b.btb_stamp = r.get_u64()?;
-        let ras_len = r.get_usize()?;
-        if ras_len > ras_cap {
-            return Err(StateError::Invalid("RAS deeper than configured"));
-        }
-        for _ in 0..ras_len {
-            b.ras.push(r.get_u64()?);
-        }
-        b.stats = BranchStats {
-            cond_branches: r.get_u64()?,
-            cond_mispredicts: r.get_u64()?,
-            target_mispredicts: r.get_u64()?,
-            control_insts: r.get_u64()?,
-            ras_correct: r.get_u64()?,
-        };
-        Ok(b)
     }
 }
 

@@ -9,7 +9,7 @@
 
 use crate::config::{CacheConfig, TlbConfig};
 use crate::isa::Addr;
-use crate::state::{ByteReader, ByteWriter, StateError};
+use crate::state::ByteWriter;
 
 /// Running counters for one cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -464,8 +464,8 @@ impl Tlb {
     }
 }
 
-// Serialization of dynamic state (see `crate::state`): derived geometry is
-// rebuilt from the config; only contents, LRU stamps, and stats travel.
+// State encoding (see `crate::state`): derived geometry comes from the
+// config; only contents, LRU stamps, and stats are written.
 impl Cache {
     pub(crate) fn save_state(&self, w: &mut ByteWriter) {
         w.put_u64(self.stamp);
@@ -484,35 +484,6 @@ impl Cache {
         w.put_u64(self.stats.prefetch_fills);
         w.put_u64(self.stats.prefetch_hits);
     }
-
-    pub(crate) fn load_state(cfg: CacheConfig, r: &mut ByteReader<'_>) -> Result<Self, StateError> {
-        let mut c = Cache::new(cfg);
-        c.stamp = r.get_u64()?;
-        if r.get_usize()? != c.lines.len() {
-            return Err(StateError::Invalid("cache geometry mismatch"));
-        }
-        // The tag mirror is derived state: rebuilt, never serialized.
-        for i in 0..c.lines.len() {
-            let l = Line {
-                tag: r.get_u64()?,
-                valid: r.get_bool()?,
-                dirty: r.get_bool()?,
-                prefetched: r.get_bool()?,
-                ready_at: r.get_u64()?,
-                stamp: r.get_u64()?,
-            };
-            c.tagv[i] = (l.tag << 1) | u64::from(l.valid);
-            c.lines[i] = l;
-        }
-        c.stats = CacheStats {
-            accesses: r.get_u64()?,
-            misses: r.get_u64()?,
-            writebacks: r.get_u64()?,
-            prefetch_fills: r.get_u64()?,
-            prefetch_hits: r.get_u64()?,
-        };
-        Ok(c)
-    }
 }
 
 impl Tlb {
@@ -526,20 +497,6 @@ impl Tlb {
         }
         w.put_u64(self.accesses);
         w.put_u64(self.misses);
-    }
-
-    pub(crate) fn load_state(cfg: TlbConfig, r: &mut ByteReader<'_>) -> Result<Self, StateError> {
-        let mut t = Tlb::new(cfg);
-        t.stamp = r.get_u64()?;
-        if r.get_usize()? != t.entries.len() {
-            return Err(StateError::Invalid("TLB geometry mismatch"));
-        }
-        for e in &mut t.entries {
-            *e = (r.get_u64()?, r.get_u64()?, r.get_bool()?);
-        }
-        t.accesses = r.get_u64()?;
-        t.misses = r.get_u64()?;
-        Ok(t)
     }
 }
 
@@ -741,28 +698,6 @@ mod tests {
             assert_eq!(c.probe_way(addr), reference_way(&c, addr));
             let other = (x >> 40) & 0x3fff;
             assert_eq!(c.probe_way(other), reference_way(&c, other));
-        }
-    }
-
-    #[test]
-    fn load_state_rebuilds_tag_mirror() {
-        let mut c = Cache::new(CacheConfig {
-            size_bytes: 1024,
-            assoc: 4,
-            line_bytes: 64,
-            latency: 1,
-        });
-        for a in (0..4096u64).step_by(192) {
-            c.access(a, a & 256 != 0);
-        }
-        let mut w = ByteWriter::new();
-        c.save_state(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        let restored = Cache::load_state(*c.config(), &mut r).expect("roundtrip");
-        for a in (0..4096u64).step_by(64) {
-            assert_eq!(restored.probe_way(a), c.probe_way(a), "addr {a:#x}");
-            assert_eq!(restored.probe_way(a), reference_way(&restored, a));
         }
     }
 

@@ -11,8 +11,7 @@
 //!   permutation that fast-forwards through the same prefix.
 //! - **Microarchitectural machine state** — caches, predictor, pipeline.
 //!   This is configuration-*dependent*; it can only be reused between runs
-//!   that share a [`crate::SimConfig`] (layered as a delta on top of an
-//!   architectural checkpoint).
+//!   that share a [`crate::SimConfig`].
 //!
 //! This module defines the [`Checkpointable`] trait both kinds implement,
 //! makes the whole [`Simulator`] a checkpoint (it is `Clone`; a machine

@@ -9,7 +9,7 @@
 use crate::cache::{Cache, Tlb};
 use crate::config::{PrefetchInto, SimConfig};
 use crate::isa::Addr;
-use crate::state::{ByteReader, ByteWriter, StateError};
+use crate::state::ByteWriter;
 
 /// Hierarchy-wide statistics (per-cache counters live in each [`Cache`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -407,8 +407,8 @@ impl MemoryHierarchy {
     }
 }
 
-// Serialization of dynamic state (see `crate::state`): latencies and
-// prefetch policy are rebuilt from the config.
+// State encoding (see `crate::state`): latencies and prefetch policy come
+// from the config and are not written.
 impl MemoryHierarchy {
     pub(crate) fn save_state(&self, w: &mut ByteWriter) {
         self.l1i.save_state(w);
@@ -425,29 +425,6 @@ impl MemoryHierarchy {
         w.put_u64(self.stats.prefetches_issued);
         w.put_u64(self.last_data_line);
         w.put_bool(self.last_data_dirty);
-    }
-
-    pub(crate) fn load_state(cfg: &SimConfig, r: &mut ByteReader<'_>) -> Result<Self, StateError> {
-        let mut m = MemoryHierarchy::new(cfg);
-        m.l1i = Cache::load_state(cfg.l1i, r)?;
-        m.l1d = Cache::load_state(cfg.l1d, r)?;
-        m.l2 = Cache::load_state(cfg.l2, r)?;
-        m.itlb = Tlb::load_state(cfg.itlb, r)?;
-        m.dtlb = Tlb::load_state(cfg.dtlb, r)?;
-        if r.get_usize()? != m.mshr_busy_until.len() {
-            return Err(StateError::Invalid("MSHR count mismatch"));
-        }
-        for t in &mut m.mshr_busy_until {
-            *t = r.get_u64()?;
-        }
-        m.stats = MemStats {
-            dram_fills: r.get_u64()?,
-            mshr_stalls: r.get_u64()?,
-            prefetches_issued: r.get_u64()?,
-        };
-        m.last_data_line = r.get_u64()?;
-        m.last_data_dirty = r.get_bool()?;
-        Ok(m)
     }
 }
 

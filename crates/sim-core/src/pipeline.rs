@@ -16,7 +16,7 @@ use crate::branch::BranchPredictor;
 use crate::config::SimConfig;
 use crate::isa::{DynInst, InstStream, OpClass, REG_ZERO};
 use crate::memory::MemoryHierarchy;
-use crate::state::{get_inst, put_inst, ByteReader, ByteWriter, StateError};
+use crate::state::{put_inst, ByteWriter};
 use crate::stats::CoreCounters;
 
 const NOT_ISSUED: u64 = u64::MAX;
@@ -168,24 +168,8 @@ impl Rob {
         i
     }
 
-    #[inline]
-    fn push_back(&mut self, inst: DynInst, deps: [u64; 2], init_flags: u8) {
-        debug_assert!(self.len < self.cap);
-        let mut i = self.head + self.len;
-        if i >= self.cap {
-            i -= self.cap;
-        }
-        self.ops[i] = inst.op;
-        self.inst[i] = inst;
-        self.deps[i] = deps;
-        self.done_cycle[i] = NOT_ISSUED;
-        self.flags[i] = init_flags;
-        debug_assert_eq!(self.waiters_head[i], 0, "reused slot has stale waiters");
-        self.len += 1;
-    }
-
-    /// Like [`Rob::push_back`], but copies the instruction record straight
-    /// from a borrowed slot (no intermediate stack copy) and writes the
+    /// Append one dispatched instruction: copies the record straight from
+    /// a borrowed slot (no intermediate stack copy) and writes the
     /// dispatch-time forwarding source in the same pass.
     #[inline]
     fn push_back_from(&mut self, inst: &DynInst, deps: [u64; 2], init_flags: u8, fwd: u64) {
@@ -1596,9 +1580,9 @@ impl Core {
     }
 }
 
-// Serialization of dynamic state (see `crate::state`): queue capacities,
-// widths, and unit counts are rebuilt from the config; everything that can
-// differ between a fresh and a warmed/running core travels.
+// State encoding (see `crate::state`): everything that can differ between
+// a fresh and a warmed/running core is written; queue capacities, widths,
+// and unit counts come from the config and are not.
 impl Core {
     pub(crate) fn save_state(&self, w: &mut ByteWriter) {
         self.mem.save_state(w);
@@ -1680,162 +1664,11 @@ impl Core {
             w.put_u64(t);
         }
         // Only the unconsumed tail of the decode buffer is machine state
-        // (consumed slots are gone); serializing it tail-only also keeps
-        // save → load → save byte-identical.
+        // (consumed slots are gone).
         w.put_usize(self.unfetched_len());
         for inst in &self.fetch_buf[self.fetch_buf_pos..] {
             put_inst(w, inst);
         }
-    }
-
-    pub(crate) fn load_state(cfg: SimConfig, r: &mut ByteReader<'_>) -> Result<Self, StateError> {
-        let mut c = Core::new(cfg);
-        c.mem = MemoryHierarchy::load_state(&c.cfg, r)?;
-        c.bpred = BranchPredictor::load_state(c.cfg.branch, r)?;
-        c.counters = CoreCounters {
-            cycles: r.get_u64()?,
-            committed: r.get_u64()?,
-            loads: r.get_u64()?,
-            stores: r.get_u64()?,
-            control: r.get_u64()?,
-            long_arith: r.get_u64()?,
-            trivial_simplified: r.get_u64()?,
-            mispredict_stall_cycles: r.get_u64()?,
-            fetched: r.get_u64()?,
-        };
-        c.now = r.get_u64()?;
-        c.seq_next = r.get_u64()?;
-        c.head_seq = r.get_u64()?;
-        let rob_len = r.get_usize()?;
-        if rob_len > c.cfg.rob_entries as usize {
-            return Err(StateError::Invalid("ROB deeper than configured"));
-        }
-        for _ in 0..rob_len {
-            let inst = get_inst(r)?;
-            let deps = [r.get_u64()?, r.get_u64()?];
-            let done_cycle = r.get_u64()?;
-            let completed = r.get_bool()?;
-            let mispredicted = r.get_bool()?;
-            let simplified = r.get_bool()?;
-            let mut init_flags = if mispredicted { FLAG_MISPREDICTED } else { 0 };
-            // FLAG_TRIVIAL and FLAG_FAST_ALU are derived state: recompute
-            // them exactly as dispatch did, so the restored core issues
-            // identically.
-            if c.cfg.trivial_computation && inst.trivial && inst.op.is_tc_candidate() {
-                init_flags |= FLAG_TRIVIAL;
-            }
-            if matches!(inst.op, OpClass::IntAlu | OpClass::Nop) || inst.op.is_control() {
-                init_flags |= FLAG_FAST_ALU;
-            }
-            c.rob.push_back(inst, deps, init_flags);
-            let s = c.rob.slot(c.rob.len() - 1);
-            c.rob.done_cycle[s] = done_cycle;
-            if completed {
-                c.rob.flags[s] |= FLAG_COMPLETED;
-            }
-            if simplified {
-                c.rob.flags[s] |= FLAG_SIMPLIFIED;
-            }
-            // Rebuild the wakeup scoreboard (derived state, not serialized):
-            // producers are older entries, already fully restored above.
-            if done_cycle == NOT_ISSUED {
-                c.link_waiters(c.head_seq + c.rob.len() as u64 - 1, deps);
-            }
-        }
-        let ifq_len = r.get_usize()?;
-        if ifq_len > c.cfg.ifq_entries as usize {
-            return Err(StateError::Invalid("IFQ deeper than configured"));
-        }
-        for _ in 0..ifq_len {
-            c.ifq.push_back(Fetched {
-                inst: get_inst(r)?,
-                mispredicted: r.get_bool()?,
-            });
-        }
-        let iq_len = r.get_usize()?;
-        if iq_len > c.cfg.iq_entries as usize {
-            return Err(StateError::Invalid("IQ deeper than configured"));
-        }
-        // The ready list was already rebuilt by `link_waiters` while the ROB
-        // entries loaded; the serialized IQ membership is redundant with the
-        // ROB's un-issued entries, so only the occupancy is kept.
-        c.iq_len = iq_len;
-        for _ in 0..iq_len {
-            let _seq = r.get_u64()?;
-        }
-        let lsq_len = r.get_usize()?;
-        if lsq_len > c.cfg.lsq_entries as usize {
-            return Err(StateError::Invalid("LSQ deeper than configured"));
-        }
-        for _ in 0..lsq_len {
-            let slot = LsqSlot {
-                seq: r.get_u64()?,
-                granule: r.get_u64()?,
-                is_store: r.get_bool()?,
-            };
-            if slot.is_store {
-                c.store_q.push_back((slot.seq, slot.granule));
-            }
-            c.lsq.push_back(slot);
-        }
-        // The forwarding-source lane is derived state: recompute each
-        // un-issued load's entry from the restored store queue. This matches
-        // the dispatch-time value exactly whenever it still matters — a
-        // source that committed since dispatch would read as absent either
-        // way (in-order commit retires every older same-granule store first).
-        for off in 0..c.rob.len() {
-            let s = c.rob.slot(off);
-            if c.rob.ops[s] == OpClass::Load && c.rob.done_cycle[s] == NOT_ISSUED {
-                let seq = c.head_seq + off as u64;
-                let granule = c.rob.inst[s].mem_addr >> 3;
-                c.rob.fwd_store[s] = c
-                    .store_q
-                    .iter()
-                    .rev()
-                    .find(|&&(st, g)| st < seq && g == granule)
-                    .map_or(0, |&(st, _)| st + 1);
-            }
-        }
-        let n_completions = r.get_usize()?;
-        if n_completions > rob_len {
-            return Err(StateError::Invalid("more completions than ROB entries"));
-        }
-        for _ in 0..n_completions {
-            let t = r.get_u64()?;
-            let seq = r.get_u64()?;
-            c.completions.push(t, seq);
-        }
-        for p in &mut c.reg_producer {
-            *p = r.get_u64()?;
-        }
-        c.fetch_resume = r.get_u64()?;
-        c.fetch_blocked = r.get_bool()?;
-        c.last_fetch_line = r.get_u64()?;
-        c.fetch_pending = if r.get_bool()? {
-            Some(get_inst(r)?)
-        } else {
-            None
-        };
-        if r.get_usize()? != c.int_md_busy.len() {
-            return Err(StateError::Invalid("integer mult/div unit count mismatch"));
-        }
-        for t in &mut c.int_md_busy {
-            *t = r.get_u64()?;
-        }
-        if r.get_usize()? != c.fp_md_busy.len() {
-            return Err(StateError::Invalid("FP mult/div unit count mismatch"));
-        }
-        for t in &mut c.fp_md_busy {
-            *t = r.get_u64()?;
-        }
-        let buf_len = r.get_usize()?;
-        if buf_len > 1 << 16 {
-            return Err(StateError::Invalid("decode buffer deeper than max batch"));
-        }
-        for _ in 0..buf_len {
-            c.fetch_buf.push(get_inst(r)?);
-        }
-        Ok(c)
     }
 }
 

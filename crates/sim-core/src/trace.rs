@@ -72,8 +72,8 @@ fn unzigzag(v: u64) -> i64 {
 ///
 /// Writes the header on construction; each [`TraceWriter::push`] appends one
 /// delta/varint-encoded record. Useful for tee-recording a stream as
-/// another consumer (functional warming, a checkpoint library) drains it —
-/// [`record`] is the drain-a-whole-stream convenience wrapper.
+/// another consumer drains it — [`record`] is the drain-a-whole-stream
+/// convenience wrapper.
 #[derive(Debug)]
 pub struct TraceWriter<W> {
     w: W,
@@ -122,33 +122,9 @@ impl<W: Write> TraceWriter<W> {
         Ok(())
     }
 
-    /// Continue an interrupted recording: append records to `w` (which
-    /// already holds a header and earlier records) with the delta state the
-    /// previous writer left off at ([`TraceWriter::last_pc`] /
-    /// [`TraceWriter::last_mem`]). No header is written.
-    pub fn append(w: W, last_pc: Addr, last_mem: Addr) -> Self {
-        TraceWriter {
-            w,
-            last_pc,
-            last_mem,
-            written: 0,
-        }
-    }
-
     /// Instructions recorded so far.
     pub fn written(&self) -> u64 {
         self.written
-    }
-
-    /// PC delta state after the last record (for [`TraceWriter::append`]).
-    pub fn last_pc(&self) -> Addr {
-        self.last_pc
-    }
-
-    /// Memory-address delta state after the last record (for
-    /// [`TraceWriter::append`]).
-    pub fn last_mem(&self) -> Addr {
-        self.last_mem
     }
 
     /// Finish recording and hand back the underlying writer.
@@ -417,25 +393,6 @@ mod tests {
         }
         assert_eq!(tw.written(), 500);
         assert_eq!(tw.into_inner(), whole, "byte-identical encodings");
-    }
-
-    #[test]
-    fn appended_recording_matches_one_shot() {
-        let insts = sample_insts(300);
-        let mut whole = Vec::new();
-        record(&mut insts.clone().into_iter(), &mut whole, u64::MAX).unwrap();
-
-        let mut first = TraceWriter::new(Vec::new()).unwrap();
-        for i in &insts[..120] {
-            first.push(i).unwrap();
-        }
-        let (pc, mem) = (first.last_pc(), first.last_mem());
-        let mut second = TraceWriter::append(first.into_inner(), pc, mem);
-        for i in &insts[120..] {
-            second.push(i).unwrap();
-        }
-        assert_eq!(second.written(), 180);
-        assert_eq!(second.into_inner(), whole, "byte-identical continuation");
     }
 
     #[test]

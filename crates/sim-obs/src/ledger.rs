@@ -5,9 +5,7 @@
 //! [`RunRecord`] per run — benchmark, technique, configuration
 //! fingerprint, cost in every execution mode, wall time, per-phase
 //! breakdown, and reuse provenance (`cold` / `shard` / `arch-ckpt` /
-//! `warm-ckpt` / `trace-replay` / `cache` / `store-restore`). Records
-//! buffer in memory
-//! and are written by
+//! `cache` / `store-restore`). Records buffer in memory and are written by
 //! [`flush`] (the harness calls it at exit, including on panic) through a
 //! buffered writer.
 //!
@@ -79,6 +77,8 @@ pub const COST_KEYS: [&str; 6] = [
 
 /// The provenance vocabulary (strongest reuse tier that served the run;
 /// `shard` marks a cold run that executed as parallel interval shards).
+/// `trace-replay` and `warm-ckpt` named two retired checkpoint tiers; no
+/// run records them any more, but ledgers written before still validate.
 pub const PROVENANCES: [&str; 7] = [
     "cold",
     "shard",

@@ -128,20 +128,16 @@ impl PhaseAcc {
 pub enum Reuse {
     /// Architectural (interpreter-state) checkpoint restored.
     ArchCkpt = 1,
-    /// Recorded warm-prefix trace replayed.
-    TraceReplay = 2,
-    /// Warm-machine checkpoint restored.
-    WarmCkpt = 4,
     /// Whole run served from the run cache.
-    Cache = 8,
+    Cache = 2,
     /// State hydrated from the persistent artifact store (cross-process
     /// reuse). Outranks every in-memory tier: a run served this way was
     /// computed by *another* process, which is the interesting fact.
-    StoreRestore = 16,
+    StoreRestore = 4,
     /// Run executed as parallel interval shards (intra-run sharding).
     /// Weakest tier: sharding changes *where* the work ran, never what was
     /// reused, so any genuine reuse tier outranks it.
-    Shard = 32,
+    Shard = 8,
 }
 
 /// Map a reuse bit set to the strongest provenance name. `0` is `"cold"`.
@@ -150,10 +146,6 @@ pub fn provenance(bits: u8) -> &'static str {
         "store-restore"
     } else if bits & Reuse::Cache as u8 != 0 {
         "cache"
-    } else if bits & Reuse::WarmCkpt as u8 != 0 {
-        "warm-ckpt"
-    } else if bits & Reuse::TraceReplay as u8 != 0 {
-        "trace-replay"
     } else if bits & Reuse::ArchCkpt as u8 != 0 {
         "arch-ckpt"
     } else if bits & Reuse::Shard as u8 != 0 {
@@ -467,7 +459,7 @@ mod tests {
     }
 
     #[test]
-    fn provenance_priority_is_store_then_cache_then_warm_then_trace_then_arch() {
+    fn provenance_priority_is_store_then_cache_then_arch_then_shard() {
         assert_eq!(provenance(0), "cold");
         assert_eq!(provenance(Reuse::Shard as u8), "shard");
         assert_eq!(
@@ -477,15 +469,7 @@ mod tests {
         );
         assert_eq!(provenance(Reuse::ArchCkpt as u8), "arch-ckpt");
         assert_eq!(
-            provenance(Reuse::ArchCkpt as u8 | Reuse::TraceReplay as u8),
-            "trace-replay"
-        );
-        assert_eq!(
-            provenance(Reuse::TraceReplay as u8 | Reuse::WarmCkpt as u8),
-            "warm-ckpt"
-        );
-        assert_eq!(
-            provenance(Reuse::WarmCkpt as u8 | Reuse::Cache as u8),
+            provenance(Reuse::ArchCkpt as u8 | Reuse::Cache as u8),
             "cache"
         );
         assert_eq!(provenance(0xff), "store-restore");

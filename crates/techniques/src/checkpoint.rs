@@ -2,78 +2,54 @@
 //! permutations.
 //!
 //! Every sampling technique begins by advancing the workload stream past a
-//! prefix it does not measure — fast-forwarding `x` instructions, warming
-//! functionally through a sampling gap, filling a pipeline for `y`. The
-//! harnesses run the *same* prefixes again and again: FF/WU/Run sweeps vary
-//! only `z` across a shared `(x, y)`, SMARTS permutations replay the same
-//! first gap under 44 machine configurations, random sampling revisits the
-//! same seed-placed offsets per configuration. This library makes each
-//! distinct prefix computation happen once per process and serves
-//! restore-instead-of-reexecute afterwards.
+//! prefix it does not measure. The harnesses position the *same* streams
+//! again and again: FF+Run and FF+WU+Run sweeps share a handful of `x`
+//! values across every configuration, SMARTS and SimPoint position each
+//! interval at a fixed absolute offset under every configuration, random
+//! sampling revisits the same seed-placed offsets. This library makes each
+//! distinct positioning happen once per process and serves
+//! restore-instead-of-reinterpret afterwards.
 //!
-//! Three tiers, by what the state depends on:
-//!
-//! 1. **Architectural tier** — [`workloads::InterpState`] snapshots keyed by
-//!    `(program fingerprint, stream position)`. Configuration-independent:
-//!    one snapshot serves every [`SimConfig`]. Used wherever the machine is
-//!    cold at the target position (plain fast-forward, random-sample gaps).
-//!    [`Library::advance_interp`] restores the nearest snapshot at or before
-//!    the target and interprets only the remainder.
-//! 2. **Warm-machine tier** — a deep [`Simulator`] clone plus the paired
-//!    interpreter snapshot, keyed by `(program, config, x, y)`.
-//!    Configuration-*dependent*, so it is a delta layered on top of tier 1:
-//!    a miss builds the machine via tier 1 and stores the result; FF+WU+Run
-//!    permutations that share `(x, y)` across their `z` sweep then restore
-//!    it. Bounded by a byte budget (`SIM_CHECKPOINT_WARM_MB`).
-//! 3. **Warm-prefix trace tier** — the first SMARTS sampling gap recorded
-//!    once per program as a compact [`sim_core::trace`] byte trace plus the
-//!    interpreter state at its end. The *instruction sequence* of the gap is
-//!    configuration-independent even though the warmed machine is not;
-//!    other configurations (and reruns with shorter gaps) replay the trace
-//!    into [`Simulator::warm_functional`] instead of re-interpreting the
-//!    program, and position the interpreter through tier 1.
+//! It holds one tier: [`workloads::InterpState`] snapshots keyed by
+//! `(program fingerprint, stream position)`. The stream at a position is a
+//! pure function of the program, so one snapshot serves every
+//! [`sim_core::SimConfig`]. [`Library::advance_interp`] restores the
+//! nearest snapshot at or before the target and interprets only the
+//! remainder. Machine state (caches, predictor, pipeline) is not cached:
+//! functional warming and detailed warm-up rebuild it live on every run,
+//! which is also the work the cost model charges for.
 //!
 //! # Correctness contract
 //!
 //! A restored-then-run window must produce *byte-identical* results to the
 //! cold path: the interpreter restore is exact ([`workloads::Interp::restore`]),
-//! a machine clone is exact, and a trace replays the exact `DynInst`
-//! sequence the interpreter would emit — so metrics cannot differ. Cost
-//! accounting is also identical: hits charge the same skipped/warmed/detailed
-//! work units the cold path measures (the library saves wall-clock and
-//! functional execution, never modeled work). The global functional-execution
-//! counter ([`sim_core::checkpoint::functional_insts`]) observes the saving:
-//! replays and restores do not count, so a sweep with the library enabled
-//! reports strictly fewer functionally executed instructions.
+//! so metrics cannot differ. Cost accounting is also identical: a restore
+//! charges the same skipped instructions the cold path measures (the
+//! library saves wall-clock and functional execution, never modeled work).
+//! The global functional-execution counter
+//! ([`sim_core::checkpoint::functional_insts`]) observes the saving:
+//! restores do not count, so a sweep that re-positions streams reports
+//! fewer functionally executed instructions with the library enabled.
 //!
 //! # Knobs
 //!
-//! - `SIM_CHECKPOINTS=0|off|false|no` (or [`set_enabled`]`(false)`, the
-//!   `--checkpoints off` harness flag) disables every tier; all paths fall
-//!   back to cold execution.
-//! - `SIM_CHECKPOINT_ARCH_CAP` — max architectural snapshots kept per
-//!   program (default 128; a snapshot is a few hundred bytes).
-//! - `SIM_CHECKPOINT_WARM_MB` — byte budget for the warm-machine tier
-//!   (default 256 MB). When exhausted, further inserts are refused: runs
-//!   still complete cold, outputs stay byte-identical, only reuse is lost.
+//! `SIM_CHECKPOINTS=0|off|false|no` (or [`set_enabled`]`(false)`, the
+//! `--checkpoints off` harness flag) disables the library; every call falls
+//! back to a cold skip. At most [`ARCH_CAP`] snapshots are kept per program
+//! (a snapshot is a few hundred bytes); further inserts are refused, which
+//! loses reuse but never correctness.
 
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound::{Excluded, Included};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use sim_core::trace::{TraceReader, TraceWriter};
-use sim_core::{Addr, DynInst, InstStream, SimConfig, Simulator};
-use sim_obs::{trace as obs, Counter, Gauge, Phase, Reuse};
-use workloads::{Interp, InterpState, Program};
+use sim_core::InstStream;
+use sim_obs::{trace as obs, Counter, Phase, Reuse};
+use workloads::{Interp, InterpState};
 
-/// Stride between architectural snapshots stored while recording a warm
-/// prefix: bounds the re-interpreted remainder when a later caller needs a
-/// position between snapshots.
-pub const ARCH_SNAPSHOT_STRIDE: u64 = 16_384;
-
-const DEFAULT_ARCH_CAP: usize = 128;
-const DEFAULT_WARM_MB: usize = 256;
+/// Maximum architectural snapshots kept per program.
+pub const ARCH_CAP: usize = 128;
 
 /// Process-wide enable override: 0 = follow `SIM_CHECKPOINTS`, 1 = on,
 /// 2 = off.
@@ -95,41 +71,7 @@ pub fn enabled() -> bool {
     }
 }
 
-/// Key of the warm-machine tier: the prefix `(x skipped, y warmed)` of one
-/// program under one configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct WarmKey {
-    prog_fp: u64,
-    cfg_fp: u64,
-    x: u64,
-    y: u64,
-}
-
-/// A machine warmed through `skip(x)` + `run_detailed(y)`, with the paired
-/// interpreter snapshot taken at the same instant (the core holds
-/// fetched-but-uncommitted instructions, so the stream cursor is part of
-/// the state) and the cost the cold path measured building it.
-#[derive(Debug)]
-struct WarmCheckpoint {
-    sim: Simulator,
-    interp: InterpState,
-    skipped: u64,
-    warm: u64,
-}
-
-/// A recorded prefix of one program's dynamic stream: trace bytes for
-/// `[0, len)`, the interpreter state at `len`, and the encoder delta state
-/// needed to append more records later.
-#[derive(Debug)]
-struct PrefixTrace {
-    bytes: Arc<Vec<u8>>,
-    len: u64,
-    end_state: InterpState,
-    last_pc: Addr,
-    last_mem: Addr,
-}
-
-/// Hit/miss counters of one tier.
+/// Hit/miss counters of the snapshot tier.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TierStats {
     /// Lookups served (fully or partially) from stored state.
@@ -143,89 +85,48 @@ pub struct TierStats {
 pub struct LibraryStats {
     /// Architectural-snapshot tier.
     pub arch: TierStats,
-    /// Warm-machine tier.
-    pub warm: TierStats,
-    /// Warm-prefix trace tier.
-    pub prefix: TierStats,
-    /// Bytes currently held by the warm-machine tier.
-    pub warm_bytes: usize,
-    /// Warm-machine inserts refused because the byte budget was exhausted.
-    pub warm_refusals: u64,
 }
 
 /// The checkpoint library. One instance is shared process-wide via
-/// [`global`]; tests build private instances with [`Library::with_limits`].
+/// [`global`]; tests build private instances.
 #[derive(Debug)]
 pub struct Library {
     /// prog_fp → position → snapshot (BTreeMap for floor queries).
     arch: Mutex<HashMap<u64, BTreeMap<u64, Arc<InterpState>>>>,
-    warm: Mutex<HashMap<WarmKey, Arc<WarmCheckpoint>>>,
-    prefix: Mutex<HashMap<u64, Arc<PrefixTrace>>>,
     /// Per-instance enable override; `None` follows the process-wide
     /// [`enabled`] flag (tests force a value to stay isolated from it).
     force: Option<bool>,
-    /// Persistent second level behind every tier: misses read through to
-    /// it, fresh state spills behind into it, so the next *process* starts
-    /// warm. `None` (no `--store`/`SIM_STORE`) keeps all tiers in-memory.
+    /// Persistent second level: misses read through to it, fresh
+    /// snapshots spill behind into it, so the next *process* starts warm.
+    /// `None` (no `--store`/`SIM_STORE`) keeps snapshots in memory only.
     store: Option<Arc<sim_store::Store>>,
     arch_cap: usize,
-    warm_budget: usize,
-    warm_bytes: Gauge,
     arch_hits: Counter,
     arch_misses: Counter,
-    warm_hits: Counter,
-    warm_misses: Counter,
-    warm_refusals: Counter,
-    prefix_hits: Counter,
-    prefix_misses: Counter,
 }
 
 impl Library {
-    /// A library with explicit limits: `arch_cap` snapshots per program and
-    /// `warm_budget` bytes of warm machines. Counters are private
-    /// (unregistered); only [`global`] reports through the metrics registry.
-    pub fn with_limits(arch_cap: usize, warm_budget: usize) -> Self {
+    /// A library keeping at most `arch_cap` snapshots per program. Counters
+    /// are private (unregistered); only [`global`] reports through the
+    /// metrics registry.
+    fn with_arch_cap(arch_cap: usize) -> Self {
         Library {
             arch: Mutex::new(HashMap::new()),
-            warm: Mutex::new(HashMap::new()),
-            prefix: Mutex::new(HashMap::new()),
             force: None,
             store: None,
             arch_cap,
-            warm_budget,
-            warm_bytes: Gauge::detached(),
             arch_hits: Counter::detached(),
             arch_misses: Counter::detached(),
-            warm_hits: Counter::detached(),
-            warm_misses: Counter::detached(),
-            warm_refusals: Counter::detached(),
-            prefix_hits: Counter::detached(),
-            prefix_misses: Counter::detached(),
         }
     }
 
     /// Swap the counters for registry-backed handles (the [`global`]
-    /// instance, whose tier traffic shows up in `--metrics` reports).
+    /// instance, whose traffic shows up in `--metrics` reports).
     fn registered(mut self) -> Self {
         self.store = sim_store::global();
-        self.warm_bytes = sim_obs::metrics::gauge("ckpt.warm.bytes");
         self.arch_hits = sim_obs::metrics::counter("ckpt.arch.hits");
         self.arch_misses = sim_obs::metrics::counter("ckpt.arch.misses");
-        self.warm_hits = sim_obs::metrics::counter("ckpt.warm.hits");
-        self.warm_misses = sim_obs::metrics::counter("ckpt.warm.misses");
-        self.warm_refusals = sim_obs::metrics::counter("ckpt.warm.refusals");
-        self.prefix_hits = sim_obs::metrics::counter("ckpt.prefix.hits");
-        self.prefix_misses = sim_obs::metrics::counter("ckpt.prefix.misses");
         self
-    }
-
-    /// A library configured from `SIM_CHECKPOINT_ARCH_CAP` and
-    /// `SIM_CHECKPOINT_WARM_MB`.
-    pub fn from_env() -> Self {
-        Self::with_limits(
-            sim_obs::env_val("SIM_CHECKPOINT_ARCH_CAP").unwrap_or(DEFAULT_ARCH_CAP),
-            sim_obs::env_val("SIM_CHECKPOINT_WARM_MB").unwrap_or(DEFAULT_WARM_MB) * 1024 * 1024,
-        )
     }
 
     /// Pin this instance on or off regardless of the process-wide flag.
@@ -250,18 +151,22 @@ impl Library {
     /// `(current, target]` and interpreting only the remainder. Stores a
     /// snapshot at `target` for future callers (subject to the per-program
     /// cap). The machine is untouched — use this only where the cold path
-    /// leaves the machine cold too ([`Simulator::skip`] semantics).
+    /// leaves the machine cold too ([`sim_core::Simulator::skip`]
+    /// semantics).
     ///
     /// Returns the position delta actually covered, which equals what the
     /// cold `skip` would have reported (shorter than requested only when
-    /// the stream ends early) — charge it as skipped cost unchanged.
+    /// the stream ends early) — charge it as skipped cost unchanged. A
+    /// zero-length advance is a no-op: no span, no lookup, no counter.
     pub fn advance_interp(&self, interp: &mut Interp<'_>, target: u64) -> u64 {
         let start = interp.emitted();
         debug_assert!(target >= start, "advance_interp cannot rewind");
-        let want = target.saturating_sub(start);
+        if target <= start {
+            return 0;
+        }
         if !self.active() {
             let mut span = obs::span(Phase::FastForward);
-            let skipped = interp.skip_n(want);
+            let skipped = interp.skip_n(target - start);
             span.add_insts(skipped);
             return skipped;
         }
@@ -309,7 +214,7 @@ impl Library {
         // Lazily materialize a snapshot at the requested boundary (unless
         // the stream ended short of it — a truncated position is still a
         // valid snapshot but would never be asked for by this target again).
-        if interp.emitted() == target && target > start {
+        if interp.emitted() == target {
             self.store_arch(fp, target, interp.snapshot());
         }
         interp.emitted() - start
@@ -360,305 +265,6 @@ impl Library {
         }
     }
 
-    /// A machine carried through `skip(x)` + detailed warm-up of `y`, with
-    /// its stream, exactly as the cold FF+WU prefix leaves them (stats not
-    /// yet reset). Returns `(sim, stream, skipped, warm)` where `skipped`
-    /// and `warm` are the cost the cold path charges for the prefix.
-    ///
-    /// A hit clones the stored machine and resumes the stored interpreter
-    /// state; a miss builds the prefix (through the architectural tier) and
-    /// stores it, subject to the byte budget.
-    pub fn warmed_machine<'p>(
-        &self,
-        program: &'p Program,
-        cfg: &SimConfig,
-        x: u64,
-        y: u64,
-    ) -> (Simulator, Interp<'p>, u64, u64) {
-        if !self.active() {
-            let mut stream = Interp::new(program);
-            let mut sim = Simulator::new(cfg.clone());
-            let skipped = sim.skip(&mut stream, x);
-            let mut span = obs::span(Phase::WarmUp);
-            let warm = sim.run_detailed(&mut stream, y);
-            span.add_insts(warm);
-            return (sim, stream, skipped, warm);
-        }
-        let key = WarmKey {
-            prog_fp: program.fingerprint(),
-            cfg_fp: cfg.fingerprint(),
-            x,
-            y,
-        };
-        let stored = {
-            let warm = self.warm.lock().unwrap_or_else(|e| e.into_inner());
-            warm.get(&key).map(Arc::clone)
-        };
-        if let Some(wc) = stored {
-            self.warm_hits.inc();
-            obs::mark_reuse(Reuse::WarmCkpt);
-            let mut span = obs::span(Phase::CheckpointRestore);
-            span.add_bytes((wc.sim.footprint_bytes() + wc.interp.approx_bytes()) as u64);
-            span.add_insts(wc.skipped + wc.warm);
-            let stream = Interp::resume(program, &wc.interp);
-            return (wc.sim.clone(), stream, wc.skipped, wc.warm);
-        }
-        // Memory miss: a previous process may have persisted this exact
-        // prefix — hydrate it instead of rebuilding.
-        if let Some(wc) = self.store_warm_lookup(key, cfg) {
-            self.warm_hits.inc();
-            obs::mark_reuse(Reuse::StoreRestore);
-            let mut span = obs::span(Phase::CheckpointRestore);
-            span.add_bytes((wc.sim.footprint_bytes() + wc.interp.approx_bytes()) as u64);
-            span.add_insts(wc.skipped + wc.warm);
-            let stream = Interp::resume(program, &wc.interp);
-            return (wc.sim.clone(), stream, wc.skipped, wc.warm);
-        }
-        self.warm_misses.inc();
-        let mut stream = Interp::new(program);
-        let skipped = self.advance_interp(&mut stream, x);
-        let mut sim = Simulator::new(cfg.clone());
-        let mut span = obs::span(Phase::WarmUp);
-        let warm = sim.run_detailed(&mut stream, y);
-        span.add_insts(warm);
-        drop(span);
-        self.store_warm(key, &sim, &stream, skipped, warm);
-        (sim, stream, skipped, warm)
-    }
-
-    /// Try to hydrate a warm-machine checkpoint from the persistent store,
-    /// installing it into the in-memory tier (subject to the byte budget)
-    /// so later lookups are plain memory hits. The machine is rebuilt
-    /// under `cfg`, so a foreign or stale payload cannot survive decoding.
-    fn store_warm_lookup(&self, key: WarmKey, cfg: &SimConfig) -> Option<Arc<WarmCheckpoint>> {
-        let store = self.store.as_ref()?;
-        let payload = store.get(
-            crate::store::NS_WARM,
-            sim_store::Key::of(&crate::store::warm_key_bytes(
-                key.prog_fp,
-                key.cfg_fp,
-                key.x,
-                key.y,
-            )),
-        )?;
-        let (sim, interp, skipped, warm) =
-            crate::store::decode_warm(key.prog_fp, cfg, key.x, key.y, &payload).ok()?;
-        let wc = Arc::new(WarmCheckpoint {
-            sim,
-            interp,
-            skipped,
-            warm,
-        });
-        self.insert_warm_memory(key, Arc::clone(&wc));
-        Some(wc)
-    }
-
-    /// Insert into the in-memory warm tier under the byte budget. Returns
-    /// whether the checkpoint was kept.
-    fn insert_warm_memory(&self, key: WarmKey, wc: Arc<WarmCheckpoint>) -> bool {
-        let bytes = wc.sim.footprint_bytes() + wc.interp.approx_bytes();
-        let held = self.warm_bytes.add(bytes as u64) as usize;
-        if held + bytes > self.warm_budget {
-            self.warm_bytes.sub(bytes as u64);
-            self.warm_refusals.inc();
-            return false;
-        }
-        let mut map = self.warm.lock().unwrap_or_else(|e| e.into_inner());
-        if map.insert(key, wc).is_some() {
-            // A racing builder stored the identical checkpoint first; give
-            // back the double-counted bytes.
-            self.warm_bytes.sub(bytes as u64);
-        }
-        true
-    }
-
-    fn store_warm(
-        &self,
-        key: WarmKey,
-        sim: &Simulator,
-        stream: &Interp<'_>,
-        skipped: u64,
-        warm: u64,
-    ) {
-        let wc = Arc::new(WarmCheckpoint {
-            sim: sim.clone(),
-            interp: stream.snapshot(),
-            skipped,
-            warm,
-        });
-        if !self.insert_warm_memory(key, Arc::clone(&wc)) {
-            return;
-        }
-        // Spill behind so the next process skips the whole prefix build.
-        if let Some(store) = &self.store {
-            store.put(
-                crate::store::NS_WARM,
-                sim_store::Key::of(&crate::store::warm_key_bytes(
-                    key.prog_fp,
-                    key.cfg_fp,
-                    key.x,
-                    key.y,
-                )),
-                crate::store::encode_warm(
-                    key.prog_fp,
-                    key.cfg_fp,
-                    key.x,
-                    key.y,
-                    &wc.sim,
-                    &wc.interp,
-                    skipped,
-                    warm,
-                ),
-            );
-        }
-    }
-
-    /// Functionally warm `sim` through the first sampling gap of `program`
-    /// (SMARTS's gap `[0, gap)`), serving the instruction sequence from the
-    /// recorded prefix trace when one long enough exists and recording (or
-    /// extending) it otherwise. `interp` must be positioned at the stream
-    /// origin; on return it is positioned exactly where the cold
-    /// `warm_functional` would leave it.
-    ///
-    /// Returns the number of instructions warmed — identical to the cold
-    /// path's return value, so charge it as warmed cost unchanged.
-    pub fn warm_first_gap(
-        &self,
-        program: &Program,
-        sim: &mut Simulator,
-        interp: &mut Interp<'_>,
-        gap: u64,
-    ) -> u64 {
-        if !self.active() || gap == 0 {
-            return sim.warm_functional(interp, gap);
-        }
-        debug_assert_eq!(
-            interp.emitted(),
-            0,
-            "first-gap warming starts at the origin"
-        );
-        let fp = program.fingerprint();
-        let mut existing = {
-            let prefix = self.prefix.lock().unwrap_or_else(|e| e.into_inner());
-            prefix.get(&fp).map(Arc::clone)
-        };
-        // When memory's recording is absent or too short for the gap, a
-        // previous process may have persisted a longer one.
-        if existing.as_deref().map_or(0, |p| p.len) < gap {
-            if let Some(pt) = self.store_prefix_lookup(fp) {
-                if pt.len > existing.as_deref().map_or(0, |p| p.len) {
-                    obs::mark_reuse(Reuse::StoreRestore);
-                    let mut map = self.prefix.lock().unwrap_or_else(|e| e.into_inner());
-                    map.insert(fp, Arc::clone(&pt));
-                    drop(map);
-                    existing = Some(pt);
-                }
-            }
-        }
-        if let Some(pt) = existing.as_deref() {
-            if pt.len >= gap {
-                self.prefix_hits.inc();
-                obs::mark_reuse(Reuse::TraceReplay);
-                let mut reader =
-                    TraceReader::new(&pt.bytes[..]).expect("library traces are well-formed");
-                let warmed = sim.warm_functional(&mut reader, gap);
-                debug_assert_eq!(warmed, gap, "recorded prefix covers the gap");
-                if gap == pt.len {
-                    let mut span = obs::span(Phase::CheckpointRestore);
-                    span.add_bytes(pt.end_state.approx_bytes() as u64);
-                    interp.restore(&pt.end_state);
-                } else {
-                    self.advance_interp(interp, gap);
-                }
-                return warmed;
-            }
-        }
-        self.prefix_misses.inc();
-        // Replay what is recorded, then warm the rest live while recording
-        // it (extending the stored trace byte-compatibly).
-        let (mut writer, replayed) = match existing.as_deref() {
-            Some(pt) => {
-                obs::mark_reuse(Reuse::TraceReplay);
-                let mut reader =
-                    TraceReader::new(&pt.bytes[..]).expect("library traces are well-formed");
-                let n = sim.warm_functional(&mut reader, pt.len);
-                debug_assert_eq!(n, pt.len);
-                let mut span = obs::span(Phase::CheckpointRestore);
-                span.add_bytes(pt.end_state.approx_bytes() as u64);
-                interp.restore(&pt.end_state);
-                drop(span);
-                let bytes = Vec::clone(&pt.bytes);
-                (TraceWriter::append(bytes, pt.last_pc, pt.last_mem), pt.len)
-            }
-            None => (
-                TraceWriter::new(Vec::new()).expect("writing to a Vec is infallible"),
-                0,
-            ),
-        };
-        let live = {
-            let mut rec = RecordingStream {
-                interp,
-                writer: &mut writer,
-                snaps: Vec::new(),
-            };
-            let live = sim.warm_functional(&mut rec, gap - replayed);
-            for (pos, state) in rec.snaps.drain(..) {
-                self.store_arch(fp, pos, state);
-            }
-            live
-        };
-        let warmed = replayed + live;
-        let (last_pc, last_mem) = (writer.last_pc(), writer.last_mem());
-        let trace = PrefixTrace {
-            bytes: Arc::new(writer.into_inner()),
-            len: warmed,
-            end_state: interp.snapshot(),
-            last_pc,
-            last_mem,
-        };
-        let mut map = self.prefix.lock().unwrap_or_else(|e| e.into_inner());
-        let current_len = map.get(&fp).map_or(0, |p| p.len);
-        if trace.len > current_len {
-            // Spill the new longest recording behind before publishing it
-            // in memory (the store stamps writes, so last-longest wins
-            // across processes too).
-            if let Some(store) = &self.store {
-                store.put(
-                    crate::store::NS_PREFIX,
-                    sim_store::Key::of(&crate::store::prefix_key_bytes(fp)),
-                    crate::store::encode_prefix(
-                        fp,
-                        &trace.bytes,
-                        trace.len,
-                        &trace.end_state,
-                        trace.last_pc,
-                        trace.last_mem,
-                    ),
-                );
-            }
-            map.insert(fp, Arc::new(trace)); // longest recording wins
-        }
-        warmed
-    }
-
-    /// Try to hydrate a program's recorded warm prefix from the persistent
-    /// store.
-    fn store_prefix_lookup(&self, fp: u64) -> Option<Arc<PrefixTrace>> {
-        let store = self.store.as_ref()?;
-        let payload = store.get(
-            crate::store::NS_PREFIX,
-            sim_store::Key::of(&crate::store::prefix_key_bytes(fp)),
-        )?;
-        let sp = crate::store::decode_prefix(fp, &payload).ok()?;
-        Some(Arc::new(PrefixTrace {
-            bytes: Arc::new(sp.bytes),
-            len: sp.len,
-            end_state: sp.end_state,
-            last_pc: sp.last_pc,
-            last_mem: sp.last_mem,
-        }))
-    }
-
     /// Counter snapshot.
     pub fn stats(&self) -> LibraryStats {
         LibraryStats {
@@ -666,104 +272,35 @@ impl Library {
                 hits: self.arch_hits.get(),
                 misses: self.arch_misses.get(),
             },
-            warm: TierStats {
-                hits: self.warm_hits.get(),
-                misses: self.warm_misses.get(),
-            },
-            prefix: TierStats {
-                hits: self.prefix_hits.get(),
-                misses: self.prefix_misses.get(),
-            },
-            warm_bytes: self.warm_bytes.get() as usize,
-            warm_refusals: self.warm_refusals.get(),
         }
-    }
-
-    /// One-line human-readable counter summary (the `--cache-stats`
-    /// report).
-    pub fn summary(&self) -> String {
-        let s = self.stats();
-        format!(
-            "checkpoints: arch {}/{} warm {}/{} prefix {}/{} (hits/misses), {} KiB warm state, {} refusals",
-            s.arch.hits,
-            s.arch.misses,
-            s.warm.hits,
-            s.warm.misses,
-            s.prefix.hits,
-            s.prefix.misses,
-            s.warm_bytes / 1024,
-            s.warm_refusals,
-        )
     }
 
     /// Drop all stored state and reset the counters.
     pub fn clear(&self) {
         self.arch.lock().unwrap_or_else(|e| e.into_inner()).clear();
-        self.warm.lock().unwrap_or_else(|e| e.into_inner()).clear();
-        self.prefix
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clear();
-        self.warm_bytes.set(0);
-        for c in [
-            &self.arch_hits,
-            &self.arch_misses,
-            &self.warm_hits,
-            &self.warm_misses,
-            &self.warm_refusals,
-            &self.prefix_hits,
-            &self.prefix_misses,
-        ] {
-            c.reset();
-        }
+        self.arch_hits.reset();
+        self.arch_misses.reset();
     }
 }
 
 impl Default for Library {
     fn default() -> Self {
-        Self::from_env()
+        Self::with_arch_cap(ARCH_CAP)
     }
 }
 
-/// The process-wide checkpoint library. Its tier counters are registered
-/// in the metrics registry as `ckpt.{arch,warm,prefix}.{hits,misses}`,
-/// `ckpt.warm.refusals`, and the `ckpt.warm.bytes` gauge.
+/// The process-wide checkpoint library. Its counters are registered in the
+/// metrics registry as `ckpt.arch.{hits,misses}`.
 pub fn global() -> &'static Library {
     static GLOBAL: OnceLock<Library> = OnceLock::new();
-    GLOBAL.get_or_init(|| Library::from_env().registered())
-}
-
-/// Tees an interpreter's output into a trace writer while another consumer
-/// (functional warming) drains it, snapshotting the interpreter at
-/// [`ARCH_SNAPSHOT_STRIDE`] boundaries.
-struct RecordingStream<'a, 'p> {
-    interp: &'a mut Interp<'p>,
-    writer: &'a mut TraceWriter<Vec<u8>>,
-    snaps: Vec<(u64, InterpState)>,
-}
-
-impl InstStream for RecordingStream<'_, '_> {
-    fn next_inst(&mut self) -> Option<DynInst> {
-        let i = self.interp.next_inst()?;
-        self.writer
-            .push(&i)
-            .expect("writing to a Vec is infallible");
-        if self.interp.emitted() % ARCH_SNAPSHOT_STRIDE == 0 {
-            self.snaps
-                .push((self.interp.emitted(), self.interp.snapshot()));
-        }
-        Some(i)
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        self.interp.len_hint()
-    }
+    GLOBAL.get_or_init(|| Library::default().registered())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use workloads::InputSet;
+    use sim_core::checkpoint::thread_functional_insts;
+    use workloads::{InputSet, Program};
 
     fn program() -> Program {
         workloads::benchmark("gzip")
@@ -773,7 +310,7 @@ mod tests {
     }
 
     fn lib() -> Library {
-        Library::with_limits(DEFAULT_ARCH_CAP, DEFAULT_WARM_MB * 1024 * 1024)
+        Library::default()
     }
 
     #[test]
@@ -796,8 +333,19 @@ mod tests {
     }
 
     #[test]
+    fn zero_length_advance_touches_no_counter() {
+        let p = program();
+        let lib = lib();
+        let mut it = Interp::new(&p);
+        assert_eq!(lib.advance_interp(&mut it, 0), 0);
+        it.skip_n(3_000);
+        assert_eq!(lib.advance_interp(&mut it, 3_000), 0);
+        assert_eq!(it.emitted(), 3_000);
+        assert_eq!(lib.stats(), LibraryStats::default());
+    }
+
+    #[test]
     fn advance_interp_restores_instead_of_reinterpreting() {
-        use sim_core::checkpoint::thread_functional_insts;
         let p = program();
         let lib = lib();
         let mut first = Interp::new(&p);
@@ -816,7 +364,6 @@ mod tests {
 
     #[test]
     fn advance_interp_uses_floor_snapshot_for_longer_targets() {
-        use sim_core::checkpoint::thread_functional_insts;
         let p = program();
         let lib = lib();
         let mut a = Interp::new(&p);
@@ -836,7 +383,7 @@ mod tests {
     #[test]
     fn arch_cap_refuses_but_stays_correct() {
         let p = program();
-        let lib = Library::with_limits(2, usize::MAX);
+        let lib = Library::with_arch_cap(2);
         for target in [1_000u64, 2_000, 3_000, 4_000] {
             let mut it = Interp::new(&p);
             lib.advance_interp(&mut it, target);
@@ -850,174 +397,14 @@ mod tests {
     }
 
     #[test]
-    fn warmed_machine_hit_is_byte_identical_to_cold_prefix() {
-        let p = program();
-        let cfg = SimConfig::table3(1);
-        let lib = lib();
-        // Miss builds and stores; hit must reproduce exactly.
-        let (mut sim_a, mut st_a, sk_a, w_a) = lib.warmed_machine(&p, &cfg, 20_000, 5_000);
-        let (mut sim_b, mut st_b, sk_b, w_b) = lib.warmed_machine(&p, &cfg, 20_000, 5_000);
-        assert_eq!((sk_a, w_a), (sk_b, w_b), "cost identical on hit");
-        assert_eq!(lib.stats().warm, TierStats { hits: 1, misses: 1 });
-        sim_a.reset_stats();
-        sim_b.reset_stats();
-        sim_a.run_detailed(&mut st_a, 3_000);
-        sim_b.run_detailed(&mut st_b, 3_000);
-        assert_eq!(sim_a.stats(), sim_b.stats(), "measured window identical");
-    }
-
-    #[test]
-    fn warm_budget_refuses_inserts_not_correctness() {
-        let p = program();
-        let cfg = SimConfig::table3(1);
-        let lib = Library::with_limits(DEFAULT_ARCH_CAP, 1); // 1-byte budget
-        let (_, _, sk, _) = lib.warmed_machine(&p, &cfg, 10_000, 2_000);
-        assert_eq!(sk, 10_000);
-        let (_, _, sk2, _) = lib.warmed_machine(&p, &cfg, 10_000, 2_000);
-        assert_eq!(sk2, 10_000);
-        let s = lib.stats();
-        assert_eq!(s.warm.hits, 0, "nothing fit in the budget");
-        assert!(s.warm_refusals >= 1);
-        assert_eq!(s.warm_bytes, 0);
-    }
-
-    #[test]
-    fn warm_first_gap_replay_matches_live_warming() {
-        let p = program();
-        let cfg = SimConfig::table3(2);
-        let lib = lib();
-        let gap = 45_000;
-
-        let mut cold_sim = Simulator::new(cfg.clone());
-        let mut cold_stream = Interp::new(&p);
-        let cold_warmed = cold_sim.warm_functional(&mut cold_stream, gap);
-
-        // First call records, second replays; both must match cold exactly.
-        for round in 0..2 {
-            let mut sim = Simulator::new(cfg.clone());
-            let mut stream = Interp::new(&p);
-            let warmed = lib.warm_first_gap(&p, &mut sim, &mut stream, gap);
-            assert_eq!(warmed, cold_warmed, "round {round}");
-            assert_eq!(stream.emitted(), cold_stream.emitted(), "round {round}");
-            sim.run_detailed(&mut stream, 2_000);
-            let mut cold_check = cold_sim.clone();
-            let mut cold_tail = cold_stream.clone();
-            cold_check.run_detailed(&mut cold_tail, 2_000);
-            assert_eq!(sim.stats(), cold_check.stats(), "round {round}");
-        }
-        let s = lib.stats();
-        assert_eq!(s.prefix, TierStats { hits: 1, misses: 1 });
-    }
-
-    #[test]
-    fn warm_first_gap_replays_without_reinterpreting() {
-        use sim_core::checkpoint::thread_functional_insts;
-        let p = program();
-        let cfg = SimConfig::table3(1);
-        let lib = lib();
-        let gap = 40_000;
-        let mut sim = Simulator::new(cfg.clone());
-        let mut stream = Interp::new(&p);
-        lib.warm_first_gap(&p, &mut sim, &mut stream, gap);
-        drop(stream);
-
-        let before = thread_functional_insts();
-        let mut sim2 = Simulator::new(cfg);
-        let mut stream2 = Interp::new(&p);
-        let warmed = lib.warm_first_gap(&p, &mut sim2, &mut stream2, gap);
-        drop(stream2);
-        assert_eq!(warmed, gap);
-        assert_eq!(
-            thread_functional_insts() - before,
-            0,
-            "full-gap replay restores the end state without re-execution"
-        );
-    }
-
-    #[test]
-    fn warm_first_gap_serves_shorter_gaps_from_a_longer_recording() {
-        let p = program();
-        let cfg = SimConfig::table3(1);
-        let lib = lib();
-        let mut sim = Simulator::new(cfg.clone());
-        let mut stream = Interp::new(&p);
-        lib.warm_first_gap(&p, &mut sim, &mut stream, 50_000);
-        drop(stream);
-
-        // A rerun with more samples has a shorter first gap.
-        let short = 18_000;
-        let mut cold_sim = Simulator::new(cfg.clone());
-        let mut cold_stream = Interp::new(&p);
-        cold_sim.warm_functional(&mut cold_stream, short);
-
-        let mut warm_sim = Simulator::new(cfg);
-        let mut warm_stream = Interp::new(&p);
-        let warmed = lib.warm_first_gap(&p, &mut warm_sim, &mut warm_stream, short);
-        assert_eq!(warmed, short);
-        assert_eq!(warm_stream.emitted(), short);
-        warm_sim.run_detailed(&mut warm_stream, 1_500);
-        cold_sim.run_detailed(&mut cold_stream, 1_500);
-        assert_eq!(warm_sim.stats(), cold_sim.stats());
-        assert_eq!(lib.stats().prefix.hits, 1);
-    }
-
-    #[test]
-    fn warm_first_gap_extends_an_existing_recording() {
-        use sim_core::checkpoint::thread_functional_insts;
-        let p = program();
-        let cfg = SimConfig::table3(1);
-        let lib = lib();
-        let mut sim = Simulator::new(cfg.clone());
-        let mut stream = Interp::new(&p);
-        lib.warm_first_gap(&p, &mut sim, &mut stream, 20_000);
-        drop(stream);
-
-        // A longer gap replays the recorded 20k and interprets only 10k.
-        // Interpreters batch their work counter and flush on drop, so each
-        // phase drops its stream (and resumes from a snapshot) before
-        // asserting counter deltas.
-        let before = thread_functional_insts();
-        let mut cold_sim = Simulator::new(cfg.clone());
-        let cold_end = {
-            let mut cold_stream = Interp::new(&p);
-            cold_sim.warm_functional(&mut cold_stream, 30_000);
-            cold_stream.snapshot()
-        };
-        assert_eq!(thread_functional_insts() - before, 30_000);
-
-        let before = thread_functional_insts();
-        let mut sim2 = Simulator::new(cfg);
-        let warm_end = {
-            let mut stream2 = Interp::new(&p);
-            let warmed = lib.warm_first_gap(&p, &mut sim2, &mut stream2, 30_000);
-            assert_eq!(warmed, 30_000);
-            stream2.snapshot()
-        };
-        assert_eq!(thread_functional_insts() - before, 10_000);
-        assert_eq!(warm_end, cold_end);
-
-        let mut cold_tail = Interp::resume(&p, &cold_end);
-        cold_sim.run_detailed(&mut cold_tail, 1_500);
-        let mut warm_tail = Interp::resume(&p, &warm_end);
-        sim2.run_detailed(&mut warm_tail, 1_500);
-        assert_eq!(sim2.stats(), cold_sim.stats());
-    }
-
-    #[test]
-    fn disabled_library_falls_back_to_cold_paths() {
+    fn disabled_library_falls_back_to_cold_skip() {
         // Pin this instance off instead of calling [`set_enabled`]: the
         // process-wide flag is shared with concurrently running tests.
         let p = program();
-        let cfg = SimConfig::table3(1);
         let lib = lib().with_enabled(false);
         let mut it = Interp::new(&p);
-        let skipped = lib.advance_interp(&mut it, 12_000);
-        let (_, _, sk, _) = lib.warmed_machine(&p, &cfg, 8_000, 1_000);
-        assert_eq!(skipped, 12_000);
-        assert_eq!(sk, 8_000);
-        let s = lib.stats();
-        assert_eq!(s.arch, TierStats::default(), "disabled: no tier traffic");
-        assert_eq!(s.warm, TierStats::default());
+        assert_eq!(lib.advance_interp(&mut it, 12_000), 12_000);
+        assert_eq!(lib.stats(), LibraryStats::default(), "no tier traffic");
     }
 
     #[test]
@@ -1039,43 +426,6 @@ mod tests {
     }
 
     #[test]
-    fn warmed_machine_rehydrates_from_store_across_instances() {
-        let p = program();
-        let cfg = SimConfig::table3(1);
-        let store = scratch_store("warm");
-        let (x, y) = (20_000, 5_000);
-
-        // First "process": builds the prefix cold and spills it behind.
-        let first = lib().with_store(Arc::clone(&store));
-        let (mut sim_a, mut st_a, sk_a, w_a) = first.warmed_machine(&p, &cfg, x, y);
-        store.flush().unwrap();
-        drop(first);
-
-        // Second "process": empty memory, same store — must hydrate, not
-        // rebuild, and the measured window must be byte-identical.
-        use sim_core::checkpoint::thread_functional_insts;
-        let before = thread_functional_insts();
-        let second = lib().with_store(Arc::clone(&store));
-        let (mut sim_b, mut st_b, sk_b, w_b) = second.warmed_machine(&p, &cfg, x, y);
-        assert_eq!(thread_functional_insts() - before, 0, "no re-execution");
-        assert_eq!((sk_a, w_a), (sk_b, w_b), "hydrated cost identical");
-        assert_eq!(second.stats().warm, TierStats { hits: 1, misses: 0 });
-        sim_a.reset_stats();
-        sim_b.reset_stats();
-        sim_a.run_detailed(&mut st_a, 3_000);
-        sim_b.run_detailed(&mut st_b, 3_000);
-        assert_eq!(sim_a.stats(), sim_b.stats());
-
-        // Third instance under a *different* config must not accept the
-        // stored machine for its own (x, y) key.
-        let other_cfg = SimConfig::table3(2);
-        let third = lib().with_store(Arc::clone(&store));
-        let (_, _, sk_c, _) = third.warmed_machine(&p, &other_cfg, x, y);
-        assert_eq!(sk_c, x);
-        assert_eq!(third.stats().warm.misses, 1, "foreign config is a miss");
-    }
-
-    #[test]
     fn advance_interp_restores_exact_target_from_store() {
         let p = program();
         let store = scratch_store("arch");
@@ -1086,7 +436,6 @@ mod tests {
         store.flush().unwrap();
         drop(first);
 
-        use sim_core::checkpoint::thread_functional_insts;
         let before = thread_functional_insts();
         let second = lib().with_store(Arc::clone(&store));
         let mut warm = Interp::new(&p);
@@ -1104,46 +453,15 @@ mod tests {
     }
 
     #[test]
-    fn warm_first_gap_hydrates_prefix_from_store() {
-        let p = program();
-        let cfg = SimConfig::table3(1);
-        let store = scratch_store("prefix");
-        let gap = 30_000;
-
-        let first = lib().with_store(Arc::clone(&store));
-        let mut sim = Simulator::new(cfg.clone());
-        let mut stream = Interp::new(&p);
-        first.warm_first_gap(&p, &mut sim, &mut stream, gap);
-        drop(stream);
-        store.flush().unwrap();
-        drop(first);
-
-        let mut cold_sim = Simulator::new(cfg.clone());
-        let mut cold_stream = Interp::new(&p);
-        cold_sim.warm_functional(&mut cold_stream, gap);
-
-        use sim_core::checkpoint::thread_functional_insts;
-        let before = thread_functional_insts();
-        let second = lib().with_store(Arc::clone(&store));
-        let mut sim2 = Simulator::new(cfg);
-        let mut stream2 = Interp::new(&p);
-        let warmed = second.warm_first_gap(&p, &mut sim2, &mut stream2, gap);
-        assert_eq!(warmed, gap);
-        assert_eq!(thread_functional_insts() - before, 0, "gap replayed");
-        sim2.run_detailed(&mut stream2, 2_000);
-        cold_sim.run_detailed(&mut cold_stream, 2_000);
-        assert_eq!(sim2.stats(), cold_sim.stats());
-    }
-
-    #[test]
     fn corrupt_store_entry_falls_back_to_cold_identical_results() {
         let p = program();
-        let cfg = SimConfig::table3(1);
         let store = scratch_store("corrupt");
-        let (x, y) = (15_000, 3_000);
+        let target = 15_000;
 
         let first = lib().with_store(Arc::clone(&store));
-        let (mut sim_a, mut st_a, ..) = first.warmed_machine(&p, &cfg, x, y);
+        let mut it = Interp::new(&p);
+        first.advance_interp(&mut it, target);
+        drop(it);
         store.flush().unwrap();
         drop(first);
 
@@ -1161,18 +479,23 @@ mod tests {
 
         let store2 = Arc::new(sim_store::Store::open(&dir).unwrap());
         let second = lib().with_store(Arc::clone(&store2));
-        let (mut sim_b, mut st_b, sk_b, w_b) = second.warmed_machine(&p, &cfg, x, y);
-        assert_eq!((sk_b, w_b), (x, y), "cold fallback covers the prefix");
+        let mut warm = Interp::new(&p);
         assert_eq!(
-            second.stats().warm,
+            second.advance_interp(&mut warm, target),
+            target,
+            "cold fallback covers the prefix"
+        );
+        assert_eq!(
+            second.stats().arch,
             TierStats { hits: 0, misses: 1 },
             "a corrupt entry is a miss, never a wrong hit"
         );
         assert!(store2.counters().4 > 0, "corruption was counted");
-        sim_a.reset_stats();
-        sim_b.reset_stats();
-        sim_a.run_detailed(&mut st_a, 2_000);
-        sim_b.run_detailed(&mut st_b, 2_000);
-        assert_eq!(sim_a.stats(), sim_b.stats(), "numbers unchanged");
+        let mut cold = Interp::new(&p);
+        cold.skip_n(target);
+        assert_eq!(warm.snapshot(), cold.snapshot(), "same stream position");
+        for _ in 0..2_000 {
+            assert_eq!(warm.next_inst(), cold.next_inst(), "stream unchanged");
+        }
     }
 }

@@ -289,12 +289,16 @@ fn run_technique_uncached(
             })
         }
         TechniqueSpec::FfWuRun { x, y, z } => {
-            // Permutations share (x, y) across their z sweep; the warmed
-            // machine is config-dependent, so it is cached as a delta on
-            // top of the architectural tier.
+            // Only the fast-forward is served from the checkpoint library:
+            // the warm-up rebuilds the config-dependent machine live.
             let program = prep.reference();
-            let (mut sim, mut stream, skipped, warm) =
-                checkpoint::global().warmed_machine(program, cfg, *x, *y);
+            let mut stream = Interp::new(program);
+            let skipped = checkpoint::global().advance_interp(&mut stream, *x);
+            let mut sim = Simulator::new(cfg.clone());
+            let mut span = obs::span(Phase::WarmUp);
+            let warm = sim.run_detailed(&mut stream, *y);
+            span.add_insts(warm);
+            drop(span);
             sim.reset_stats();
             let mut span = obs::span(Phase::Measure);
             let measured = sim.run_detailed(&mut stream, *z);

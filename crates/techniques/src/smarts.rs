@@ -158,20 +158,9 @@ fn segment_pass(
         }
     }
 
-    let mut first_gap = first_unit == 0;
     for _ in 0..units {
-        // Functional warming up to the next unit. The very first gap of
-        // the run always starts at the stream origin and its *instruction
-        // sequence* is configuration-independent, so the checkpoint
-        // library serves it as a recorded trace replay across the whole
-        // config sweep (later gaps start wherever detailed execution
-        // stopped fetching, which differs per config, so they warm live).
-        let warmed = if first_gap {
-            first_gap = false;
-            checkpoint::global().warm_first_gap(program, &mut sim, &mut stream, gap)
-        } else {
-            sim.warm_functional(&mut stream, gap)
-        };
+        // Functional warming up to the next unit.
+        let warmed = sim.warm_functional(&mut stream, gap);
         out.cost.warmed += warmed;
         if warmed < gap {
             out.terminal = true;

@@ -6,7 +6,12 @@
 //! fresh computation, so a second process starts warm. This module owns the
 //! translation: canonical key bytes (stable across processes — no
 //! `DefaultHasher`) and versioned payload encodings built on the
-//! [`sim_core::state`] codec.
+//! [`sim_core::state`] codec. Two namespaces are written and read:
+//! [`NS_RUN`] (run results) and [`NS_ARCH`] (architectural interpreter
+//! snapshots). Stores filled by older builds may also hold `warm/v1`,
+//! `warm/v2` and `prefix/v1` records (retired machine-checkpoint and
+//! prefix-trace tiers); nothing looks them up, and `simstore gc` keeps or
+//! drops them like any other record.
 //!
 //! **Nothing from the store is trusted.** Every payload embeds the
 //! program/config fingerprints it was computed under; decoding validates
@@ -22,20 +27,12 @@ use crate::metrics::Metrics;
 use crate::runner::RunResult;
 use crate::spec::{SimPointWarmup, TechniqueSpec};
 use sim_core::state::{ByteReader, ByteWriter, StateError};
-use sim_core::{SimConfig, Simulator};
 use workloads::{InputSet, InterpState};
 
 /// Namespace of run-result payloads.
 pub const NS_RUN: &str = "run/v1";
 /// Namespace of architectural interpreter snapshots.
 pub const NS_ARCH: &str = "arch/v1";
-/// Namespace of warm-machine checkpoints. v2: the machine payload gained
-/// the data-side line-skip filter fields (`MemoryHierarchy::save_state`),
-/// so v1 payloads no longer decode — the bump makes stale entries miss
-/// cleanly and re-warm instead of erroring.
-pub const NS_WARM: &str = "warm/v2";
-/// Namespace of warm-prefix trace recordings.
-pub const NS_PREFIX: &str = "prefix/v1";
 
 fn input_set_tag(i: InputSet) -> u8 {
     match i {
@@ -122,23 +119,6 @@ pub fn arch_key_bytes(prog_fp: u64, pos: u64) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Canonical key bytes for a warm-machine checkpoint.
-pub fn warm_key_bytes(prog_fp: u64, cfg_fp: u64, x: u64, y: u64) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u64(prog_fp);
-    w.put_u64(cfg_fp);
-    w.put_u64(x);
-    w.put_u64(y);
-    w.into_bytes()
-}
-
-/// Canonical key bytes for a program's warm-prefix trace.
-pub fn prefix_key_bytes(prog_fp: u64) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u64(prog_fp);
-    w.into_bytes()
-}
-
 /// Encode a run result for storage under `key`. The envelope repeats the
 /// key's identifying fields so a decode under the wrong key is rejected.
 pub fn encode_run(key: &RunKey, r: &RunResult) -> Vec<u8> {
@@ -207,123 +187,6 @@ pub fn decode_arch(prog_fp: u64, pos: u64, bytes: &[u8]) -> Result<InterpState, 
         return Err(StateError::Invalid("snapshot at the wrong position"));
     }
     Ok(state)
-}
-
-/// Encode a warm-machine checkpoint: envelope, prefix cost, the paired
-/// interpreter snapshot, and the serialized machine.
-#[allow(clippy::too_many_arguments)] // mirrors the WarmKey fields plus the checkpoint parts
-pub fn encode_warm(
-    prog_fp: u64,
-    cfg_fp: u64,
-    x: u64,
-    y: u64,
-    sim: &Simulator,
-    interp: &InterpState,
-    skipped: u64,
-    warm: u64,
-) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u64(prog_fp);
-    w.put_u64(cfg_fp);
-    w.put_u64(x);
-    w.put_u64(y);
-    w.put_u64(skipped);
-    w.put_u64(warm);
-    w.put_bytes(&interp.to_bytes());
-    w.put_bytes(&sim.save_state());
-    w.into_bytes()
-}
-
-/// Decode a warm-machine checkpoint for `(prog_fp, cfg, x, y)`. The machine
-/// is reconstructed under `cfg` (geometry validation included), so a
-/// checkpoint for a different configuration can never be mistaken for this
-/// one even on a key collision.
-pub fn decode_warm(
-    prog_fp: u64,
-    cfg: &SimConfig,
-    x: u64,
-    y: u64,
-    bytes: &[u8],
-) -> Result<(Simulator, InterpState, u64, u64), StateError> {
-    let mut r = ByteReader::new(bytes);
-    if r.get_u64()? != prog_fp
-        || r.get_u64()? != cfg.fingerprint()
-        || r.get_u64()? != x
-        || r.get_u64()? != y
-    {
-        return Err(StateError::Invalid("warm envelope mismatch"));
-    }
-    let skipped = r.get_u64()?;
-    let warm = r.get_u64()?;
-    let interp = InterpState::from_bytes(r.get_bytes()?)?;
-    if interp.program_fingerprint() != prog_fp {
-        return Err(StateError::Invalid("warm snapshot program mismatch"));
-    }
-    let sim = Simulator::load_state(cfg.clone(), r.get_bytes()?)?;
-    r.finish()?;
-    Ok((sim, interp, skipped, warm))
-}
-
-/// A warm-prefix trace hydrated from the store (mirror of the library's
-/// internal recording, in owned form).
-#[derive(Debug)]
-pub struct StoredPrefix {
-    /// `sim_core::trace` bytes covering stream positions `[0, len)`.
-    pub bytes: Vec<u8>,
-    /// Instructions recorded.
-    pub len: u64,
-    /// Interpreter state at position `len`.
-    pub end_state: InterpState,
-    /// Trace-encoder delta state at the end (for appending).
-    pub last_pc: u64,
-    /// Trace-encoder delta state at the end (for appending).
-    pub last_mem: u64,
-}
-
-/// Encode a warm-prefix recording for `prog_fp`: `trace` bytes covering
-/// positions `[0, len)`, the interpreter state at `len`, and the trace
-/// encoder's delta state for later appends.
-pub fn encode_prefix(
-    prog_fp: u64,
-    trace: &[u8],
-    len: u64,
-    end_state: &InterpState,
-    last_pc: u64,
-    last_mem: u64,
-) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u64(prog_fp);
-    w.put_u64(len);
-    w.put_u64(last_pc);
-    w.put_u64(last_mem);
-    w.put_bytes(&end_state.to_bytes());
-    w.put_bytes(trace);
-    w.into_bytes()
-}
-
-/// Decode a warm-prefix recording, requiring it to belong to `prog_fp` and
-/// be internally consistent (end state at position `len`).
-pub fn decode_prefix(prog_fp: u64, bytes: &[u8]) -> Result<StoredPrefix, StateError> {
-    let mut r = ByteReader::new(bytes);
-    if r.get_u64()? != prog_fp {
-        return Err(StateError::Invalid("prefix belongs to another program"));
-    }
-    let len = r.get_u64()?;
-    let last_pc = r.get_u64()?;
-    let last_mem = r.get_u64()?;
-    let end_state = InterpState::from_bytes(r.get_bytes()?)?;
-    if end_state.program_fingerprint() != prog_fp || end_state.emitted() != len {
-        return Err(StateError::Invalid("prefix end state inconsistent"));
-    }
-    let trace = r.get_bytes()?.to_vec();
-    r.finish()?;
-    Ok(StoredPrefix {
-        bytes: trace,
-        len,
-        end_state,
-        last_pc,
-        last_mem,
-    })
 }
 
 #[cfg(test)]
@@ -423,72 +286,5 @@ mod tests {
         assert_eq!(decode_arch(fp, 5_000, &bytes).unwrap(), state);
         assert!(decode_arch(fp + 1, 5_000, &bytes).is_err(), "wrong program");
         assert!(decode_arch(fp, 4_999, &bytes).is_err(), "wrong position");
-    }
-
-    #[test]
-    fn warm_payload_rejects_other_configs() {
-        let p = workloads::benchmark("gzip")
-            .unwrap()
-            .program(InputSet::Small)
-            .unwrap();
-        let cfg = SimConfig::table3(1);
-        let mut stream = workloads::Interp::new(&p);
-        let mut sim = Simulator::new(cfg.clone());
-        sim.skip(&mut stream, 2_000);
-        sim.run_detailed(&mut stream, 1_000);
-        let fp = p.fingerprint();
-        let bytes = encode_warm(
-            fp,
-            cfg.fingerprint(),
-            2_000,
-            1_000,
-            &sim,
-            &stream.snapshot(),
-            2_000,
-            1_000,
-        );
-        let (sim2, interp2, sk, wm) = decode_warm(fp, &cfg, 2_000, 1_000, &bytes).unwrap();
-        assert_eq!((sk, wm), (2_000, 1_000));
-        assert_eq!(sim2.save_state(), sim.save_state());
-        assert_eq!(interp2.emitted(), stream.emitted());
-
-        let other = SimConfig::table3(2);
-        assert!(
-            decode_warm(fp, &other, 2_000, 1_000, &bytes).is_err(),
-            "a checkpoint from another machine configuration is foreign"
-        );
-        assert!(decode_warm(fp, &cfg, 2_001, 1_000, &bytes).is_err());
-    }
-
-    #[test]
-    fn prefix_payload_roundtrips() {
-        let p = workloads::benchmark("gzip")
-            .unwrap()
-            .program(InputSet::Small)
-            .unwrap();
-        let mut it = workloads::Interp::new(&p);
-        it.skip_n(1_000);
-        let fp = p.fingerprint();
-        let stored = StoredPrefix {
-            bytes: vec![1, 2, 3, 4, 5],
-            len: 1_000,
-            end_state: it.snapshot(),
-            last_pc: 0x4242,
-            last_mem: 0x999,
-        };
-        let bytes = encode_prefix(
-            fp,
-            &stored.bytes,
-            stored.len,
-            &stored.end_state,
-            stored.last_pc,
-            stored.last_mem,
-        );
-        let back = decode_prefix(fp, &bytes).unwrap();
-        assert_eq!(back.bytes, stored.bytes);
-        assert_eq!(back.len, stored.len);
-        assert_eq!(back.end_state, stored.end_state);
-        assert_eq!((back.last_pc, back.last_mem), (0x4242, 0x999));
-        assert!(decode_prefix(fp + 1, &bytes).is_err());
     }
 }
