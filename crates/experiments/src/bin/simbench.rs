@@ -351,7 +351,7 @@ fn measure_all(runs: u64, cpus: u64) -> Bench {
     // Last on purpose: Server::bind turns span tracing on process-wide,
     // and the earlier probes must measure with the same settings the
     // committed baselines were recorded under.
-    let (first_us, complete_us) = serve_pass(runs);
+    let (first_us, complete_us, connect_us) = serve_pass(runs);
     add(
         "serve.submit.first_record_us",
         "us",
@@ -363,6 +363,12 @@ fn measure_all(runs: u64, cpus: u64) -> Bench {
         "us",
         Direction::Lower,
         complete_us,
+    );
+    add(
+        "serve.connect.complete_us",
+        "us",
+        Direction::Lower,
+        connect_us,
     );
 
     // The bare-interpreter loop runs ~6 ns/inst: at that size, code-layout
@@ -471,10 +477,12 @@ fn pb_effects_pass() -> f64 {
 
 /// Submit-to-first-record and submit-to-complete latency for a trivial
 /// one-run job against an in-process `simserve` on a loopback port, in
-/// microseconds. The warm-up submit populates the run cache, so the timed
-/// samples measure the service path itself — admission, scheduling, the
-/// job-scoped ledger, streaming — rather than the simulation.
-fn serve_pass(runs: u64) -> (Vec<f64>, Vec<f64>) {
+/// microseconds, on one reused connection; then connect-to-complete, each
+/// sample on a new connection as `simctl submit` makes it. The warm-up
+/// submit populates the run cache, so the timed samples measure the
+/// service path itself — accept, admission, scheduling, the job-scoped
+/// ledger, streaming — rather than the simulation.
+fn serve_pass(runs: u64) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
     use sim_serve::{proto::JobDesc, Client, Server, ServerConfig};
     let server = Server::bind(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
@@ -492,11 +500,9 @@ fn serve_pass(runs: u64) -> (Vec<f64>, Vec<f64>) {
         configs: vec!["default".to_string()],
         priority: 0,
     };
-    // One connection for every sample: a fresh connect pays the accept
-    // loop's poll interval (~25 ms), which would drown the per-request
-    // path this probe is after.
-    let mut client = Client::connect(&addr).expect("probe client connects");
-    let mut submit = || {
+    // The first two probes reuse one connection, so they time the
+    // per-request path alone; the third adds connect and accept.
+    let submit = |client: &mut Client| {
         let t0 = Instant::now();
         let mut first = None;
         let out = client
@@ -511,19 +517,30 @@ fn serve_pass(runs: u64) -> (Vec<f64>, Vec<f64>) {
             total.as_nanos() as f64 / 1e3,
         )
     };
-    submit(); // warm-up: populates the run cache
+    let mut client = Client::connect(&addr).expect("probe client connects");
+    submit(&mut client); // warm-up: populates the run cache
     let (mut firsts, mut totals) = (Vec::new(), Vec::new());
     for _ in 0..runs {
-        let (f, t) = submit();
+        let (f, t) = submit(&mut client);
         firsts.push(f);
         totals.push(t);
     }
-    shutdown.store(true, std::sync::atomic::Ordering::SeqCst);
+    drop(client);
+    let connects = (0..runs)
+        .map(|_| {
+            let t0 = Instant::now();
+            let mut client = Client::connect(&addr).expect("probe client connects");
+            submit(&mut client);
+            drop(client);
+            t0.elapsed().as_nanos() as f64 / 1e3
+        })
+        .collect();
+    shutdown.shutdown();
     daemon
         .join()
         .expect("serve probe daemon joins")
         .expect("serve probe daemon drains");
-    (firsts, totals)
+    (firsts, totals, connects)
 }
 
 fn host_os() -> String {

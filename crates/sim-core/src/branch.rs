@@ -140,17 +140,6 @@ impl BranchPredictor {
         self.stats = BranchStats::default();
     }
 
-    /// Approximate in-memory size of a snapshot of this predictor, in bytes
-    /// (tables, BTB, and RAS included).
-    pub fn footprint_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.bimodal.len()
-            + self.gshare.len()
-            + self.meta.len()
-            + std::mem::size_of_val(self.btb.as_slice())
-            + std::mem::size_of_val(self.ras.as_slice())
-    }
-
     /// Cold-start the predictor: clear all tables, history, RAS, and stats.
     pub fn reset_state(&mut self) {
         for c in &mut self.bimodal {

@@ -149,15 +149,6 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
-    /// Approximate in-memory size of a snapshot of this cache, in bytes
-    /// (used by checkpoint libraries to budget stored warm state).
-    pub fn footprint_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + std::mem::size_of_val(self.lines.as_slice())
-            + std::mem::size_of_val(self.tagv.as_slice())
-            + std::mem::size_of_val(self.way_hint.as_slice())
-    }
-
     #[inline]
     fn set_idx(&self, addr: Addr) -> usize {
         ((addr >> self.line_shift) & self.set_mask) as usize
@@ -395,11 +386,6 @@ impl Tlb {
             page_shift: cfg.page_bytes.trailing_zeros(),
             cfg,
         }
-    }
-
-    /// Approximate in-memory size of a snapshot of this TLB, in bytes.
-    pub fn footprint_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + std::mem::size_of_val(self.entries.as_slice())
     }
 
     /// Translate `addr`; returns `true` on a TLB hit. A miss installs the

@@ -13,19 +13,18 @@
 //!   This is configuration-*dependent*; it can only be reused between runs
 //!   that share a [`crate::SimConfig`].
 //!
-//! This module defines the [`Checkpointable`] trait both kinds implement,
-//! makes the whole [`Simulator`] a checkpoint (it is `Clone`; a machine
-//! snapshot *is* a deep copy), and hosts the global counter of functionally
-//! executed instructions. Streams that *interpret* (the `workloads`
-//! interpreter) report their work here; streams that merely *replay*
-//! (a [`crate::trace::TraceReader`], a restored checkpoint) do not — so the
-//! counter measures exactly the redundant functional execution a checkpoint
-//! library eliminates, and a harness sweep run with checkpoints enabled must
-//! show a strictly smaller total than the same sweep without.
+//! This module defines the [`Checkpointable`] trait stream snapshots
+//! implement (a machine snapshot needs no trait: [`crate::Simulator`] is
+//! `Clone`, so a deep copy *is* the snapshot), and hosts the global
+//! counter of functionally executed instructions. Streams that *interpret*
+//! (the `workloads` interpreter) report their work here; streams that
+//! merely *replay* (a [`crate::trace::TraceReader`], a restored checkpoint)
+//! do not — so the counter measures exactly the redundant functional
+//! execution a checkpoint library eliminates, and a harness sweep run with
+//! checkpoints enabled must show a strictly smaller total than the same
+//! sweep without.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-
-use crate::engine::Simulator;
 
 /// State that can be snapshotted and later restored exactly.
 ///
@@ -43,23 +42,6 @@ pub trait Checkpointable {
 
     /// Return to a previously captured state.
     fn restore(&mut self, state: &Self::State);
-}
-
-/// A [`Simulator`] checkpoint is a deep copy of the machine: caches,
-/// predictor, in-flight pipeline contents, counters, everything. Restoring
-/// mid-run resumes cycle-exact.
-impl Checkpointable for Simulator {
-    type State = Simulator;
-
-    fn checkpoint(&self) -> Simulator {
-        self.clone()
-    }
-
-    fn restore(&mut self, state: &Simulator) {
-        let mut span = sim_obs::trace::span(sim_obs::Phase::CheckpointRestore);
-        span.add_bytes(state.footprint_bytes() as u64);
-        self.clone_from(state);
-    }
 }
 
 /// Total dynamic instructions produced by *functional interpretation*
@@ -109,6 +91,7 @@ pub fn reset_functional_insts() {
 mod tests {
     use super::*;
     use crate::config::SimConfig;
+    use crate::engine::Simulator;
     use crate::isa::{DynInst, OpClass};
 
     fn loads(n: usize) -> Vec<DynInst> {
@@ -143,12 +126,12 @@ mod tests {
         let mut cold = Simulator::new(cfg.clone());
         let mut s = insts.into_iter();
         cold.run_detailed(&mut s, 2_000);
-        let cp = cold.checkpoint();
+        let cp = cold.clone();
         let mut tail = s.clone();
         cold.run_detailed(&mut s, 4_000);
 
         let mut warm = Simulator::new(cfg);
-        warm.restore(&cp);
+        warm.clone_from(&cp);
         warm.run_detailed(&mut tail, 4_000);
 
         assert_eq!(cold.stats(), warm.stats(), "restored run must be exact");

@@ -228,12 +228,6 @@ impl Simulator {
         }
     }
 
-    /// Approximate in-memory size of a snapshot (clone) of this machine, in
-    /// bytes. Checkpoint libraries use it to budget stored warm state.
-    pub fn footprint_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.core.footprint_bytes()
-    }
-
     /// Direct access to the core (warming experiments, tests).
     pub fn core(&self) -> &Core {
         &self.core

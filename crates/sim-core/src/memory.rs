@@ -149,18 +149,6 @@ impl MemoryHierarchy {
         &self.stats
     }
 
-    /// Approximate in-memory size of a snapshot of the whole hierarchy, in
-    /// bytes.
-    pub fn footprint_bytes(&self) -> usize {
-        self.l1i.footprint_bytes()
-            + self.l1d.footprint_bytes()
-            + self.l2.footprint_bytes()
-            + self.itlb.footprint_bytes()
-            + self.dtlb.footprint_bytes()
-            + std::mem::size_of_val(self.mshr_busy_until.as_slice())
-            + std::mem::size_of::<MemStats>()
-    }
-
     /// Reset all statistics (cache contents untouched).
     pub fn reset_stats(&mut self) {
         self.stats = MemStats::default();

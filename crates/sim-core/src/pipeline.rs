@@ -197,14 +197,6 @@ impl Rob {
         }
         self.len -= 1;
     }
-
-    /// Bytes a clone of this ROB holds — the full struct-of-arrays
-    /// allocation, independent of occupancy.
-    fn footprint_bytes(&self) -> usize {
-        // insts + deps + done_cycle + packed flags + forwarding source,
-        // plus the wakeup scoreboard's three u32 chain words per slot.
-        self.cap * (std::mem::size_of::<DynInst>() + 2 * 8 + 8 + 2 + 3 * 4 + 8)
-    }
 }
 
 /// Slot-indexed bitmap over the ROB ring of IQ entries whose operands are
@@ -276,11 +268,6 @@ impl ReadySet {
                 }
             }
         }
-    }
-
-    /// Bytes of the backing bitmap allocation.
-    fn bytes(&self) -> usize {
-        self.words.len() * 8
     }
 }
 
@@ -425,16 +412,6 @@ impl CalendarQueue {
                 f(seq);
             }
         }
-    }
-
-    /// Bytes of *state* this queue carries: the pending events plus the
-    /// occupancy bitmap. The bucket directory is sized by configuration,
-    /// not by execution state — a serialized snapshot stores only the
-    /// events and rebuilds the directory — so it is excluded; counting it
-    /// once per shard would charge each shard a fixed ~`W * 24`-byte tax
-    /// that no checkpoint ever pays.
-    fn footprint_bytes(&self) -> usize {
-        self.bits.len() * 8 + self.len * 16
     }
 }
 
@@ -732,28 +709,6 @@ impl Core {
     /// Reset the measurement counters (machine state persists).
     pub fn reset_counters(&mut self) {
         self.counters = CoreCounters::default();
-    }
-
-    /// Approximate in-memory size of a snapshot of this core, in bytes —
-    /// the memory hierarchy and predictor dominate; in-flight pipeline
-    /// buffers are counted by occupancy. The decode buffer counts only its
-    /// unconsumed tail: its [`FETCH_BATCH`]-sized capacity is a per-shard
-    /// *working* allocation (a snapshot drains exactly the tail — see
-    /// [`Core::take_unfetched`]), so counting capacity would inflate every
-    /// per-shard machine's footprint by the full batch size.
-    pub fn footprint_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.mem.footprint_bytes()
-            + self.bpred.footprint_bytes()
-            + self.rob.footprint_bytes()
-            + self.ifq.len() * std::mem::size_of::<Fetched>()
-            + self.lsq.len() * std::mem::size_of::<LsqSlot>()
-            + self.store_q.len() * 16
-            + self.ready.bytes()
-            + self.completions.footprint_bytes()
-            + self.done_next.len() * 16
-            + (self.fetch_buf.len() - self.fetch_buf_pos) * std::mem::size_of::<DynInst>()
-            + (self.int_md_busy.len() + self.fp_md_busy.len()) * 8
     }
 
     /// Number of in-flight instructions (diagnostics/tests).
@@ -2099,30 +2054,5 @@ mod structural_tests {
         // Each divide+store pair is serialized by the divide chain on one
         // shared unit (config 1 has one mult/div unit): >= ~20 cycles/pair.
         assert!(cpi > 10.0, "store must wait for divide, CPI {cpi}");
-    }
-
-    #[test]
-    fn footprint_counts_decode_occupancy_not_capacity() {
-        // The decode buffer's contribution to the footprint is exactly its
-        // unconsumed tail — not its FETCH_BATCH-sized capacity and not
-        // the already-decoded prefix. Draining it shrinks the footprint by
-        // the tail; reloading grows it back by the same amount.
-        let mut core = Core::new(SimConfig::table3(2));
-        let mut s = (0..100_000).map(|i| DynInst::int_alu(loop_pc(i)));
-        core.run_detailed(&mut s, 1_000);
-        let before = core.footprint_bytes();
-        let tail = core.take_unfetched();
-        let drained = core.footprint_bytes();
-        assert_eq!(
-            before - drained,
-            tail.len() * std::mem::size_of::<DynInst>(),
-            "draining removes exactly the unconsumed decode tail"
-        );
-        core.preload_unfetched(tail.clone());
-        assert_eq!(
-            core.footprint_bytes() - drained,
-            tail.len() * std::mem::size_of::<DynInst>(),
-            "reloading adds exactly the carried instructions back"
-        );
     }
 }

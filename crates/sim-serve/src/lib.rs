@@ -24,7 +24,8 @@
 //! [`signal`] provides the dependency-free SIGINT/SIGTERM hook behind
 //! graceful shutdown (`simserve` drains in-flight jobs, then flushes the
 //! store and every ledger) and the flush-on-ctrl-c guard the long fig
-//! harnesses install.
+//! harnesses install. Nothing in the daemon sleeps to poll: accept,
+//! shutdown and drain each wake on the event they wait for.
 
 #![warn(missing_docs)]
 
@@ -36,4 +37,4 @@ pub mod signal;
 
 pub use client::Client;
 pub use proto::JobDesc;
-pub use server::{Server, ServerConfig};
+pub use server::{Server, ServerConfig, ShutdownHandle};

@@ -18,6 +18,11 @@
 //! A finished job is forgotten down to its status row ([`JobInfo`]): the
 //! queue drops its plan and any undelivered events, so a long-running
 //! daemon's memory does not grow with the jobs it has served.
+//!
+//! The queue also keeps the daemon's one count of running jobs: claim
+//! raises it, finish lowers it. Drivers size their worker share from it
+//! ([`Queue::running_count`]) and shutdown waits on it
+//! ([`Queue::wait_idle`]).
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -248,6 +253,8 @@ struct Inner {
     jobs: HashMap<u64, Arc<Job>>,
     /// Status rows of finished jobs, by id.
     finished: BTreeMap<u64, JobInfo>,
+    /// Claimed jobs that have not finished.
+    running: usize,
     next_id: u64,
     closed: bool,
 }
@@ -255,7 +262,10 @@ struct Inner {
 /// The bounded admission queue (see module docs).
 pub struct Queue {
     inner: Mutex<Inner>,
+    /// Signalled when a job is admitted or the queue closes (claimers).
     cv: Condvar,
+    /// Signalled when a running job finishes (the shutdown drain).
+    idle: Condvar,
     capacity: usize,
 }
 
@@ -267,10 +277,12 @@ impl Queue {
                 pending: Vec::new(),
                 jobs: HashMap::new(),
                 finished: BTreeMap::new(),
+                running: 0,
                 next_id: 0,
                 closed: false,
             }),
             cv: Condvar::new(),
+            idle: Condvar::new(),
             capacity: capacity.max(1),
         })
     }
@@ -310,6 +322,7 @@ impl Queue {
             if !inner.pending.is_empty() {
                 let job = inner.pending.remove(0);
                 job.set_state(JobState::Running);
+                inner.running += 1;
                 return Some(job);
             }
             if inner.closed {
@@ -323,8 +336,12 @@ impl Queue {
     /// its status row stays, while its plan and any events no connection
     /// drained are dropped with the last reference.
     pub fn finish(&self, job: &Job, summary: Summary) {
-        job.finish(summary);
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        if job.state() == JobState::Running {
+            inner.running -= 1;
+            self.idle.notify_all();
+        }
+        job.finish(summary);
         Self::retire(&mut inner, job);
     }
 
@@ -402,7 +419,23 @@ impl Queue {
         rows
     }
 
-    /// Ids of jobs currently running (shutdown drain watches these).
+    /// Jobs claimed and not yet finished.
+    pub fn running_count(&self) -> usize {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner()).running
+    }
+
+    /// Wait until no job is running or `timeout` passes; `true` if none is
+    /// running.
+    pub fn wait_idle(&self, timeout: Duration) -> bool {
+        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let (inner, _) = self
+            .idle
+            .wait_timeout_while(inner, timeout, |i| i.running > 0)
+            .unwrap_or_else(|e| e.into_inner());
+        inner.running == 0
+    }
+
+    /// Jobs currently running (shutdown cancels these past the drain).
     pub fn running(&self) -> Vec<Arc<Job>> {
         let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner
@@ -510,6 +543,29 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(job.state(), JobState::Done);
+    }
+
+    #[test]
+    fn wait_idle_returns_when_the_last_running_job_finishes() {
+        let q = Queue::new(8);
+        assert!(q.wait_idle(Duration::ZERO), "an empty queue is idle");
+        q.submit(tiny_job(0)).unwrap();
+        let job = q.claim().unwrap();
+        assert_eq!(q.running_count(), 1);
+        assert!(!q.wait_idle(Duration::from_millis(1)), "a job is running");
+        let waiter = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || q.wait_idle(Duration::from_secs(60)))
+        };
+        q.finish(
+            &job,
+            Summary {
+                state: "done",
+                ..Summary::default()
+            },
+        );
+        assert!(waiter.join().unwrap(), "finish wakes the drain");
+        assert_eq!(q.running_count(), 0);
     }
 
     #[test]

@@ -1,4 +1,18 @@
-//! The daemon: TCP accept loop, scheduler threads, and the per-job driver.
+//! The daemon: TCP accept loop, connection handlers, scheduler threads,
+//! and the per-job driver.
+//!
+//! ## Accept and shutdown
+//!
+//! The accept loop blocks in `accept`; nothing polls. A shutdown request
+//! (the wire `shutdown` op, SIGINT/SIGTERM through [`signal::on_shutdown`],
+//! or a [`ShutdownHandle`]) sets the server's flag and then connects to the
+//! listener, so the blocked `accept` returns and the loop sees the flag.
+//! Connections run on handler threads that are reused, the most recently
+//! idle first: `active` of them start idle with the server, another is
+//! spawned only when none is idle, and idle ones exit when the server
+//! stops. At most [`ServerConfig::max_connections`]
+//! connections are served at once; one more gets an error line from the
+//! accept thread and is closed.
 //!
 //! ## Scheduling and budget donation
 //!
@@ -29,10 +43,10 @@
 //! consistent (`simstore verify` passes).
 
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use crate::proto::{self, Request};
@@ -69,12 +83,45 @@ impl Default for ServerConfig {
     }
 }
 
+impl ServerConfig {
+    /// Most connections served at once: one for each job the daemon can
+    /// hold (queued or running) to stream on, and as many again for
+    /// control connections.
+    pub fn max_connections(&self) -> usize {
+        2 * (self.queue_cap.max(1) + self.active.max(1))
+    }
+}
+
+/// Stops a [`Server::run`]: the wire `shutdown` op, SIGINT/SIGTERM and
+/// embedding callers all go through it.
+#[derive(Debug, Clone)]
+pub struct ShutdownHandle {
+    requested: Arc<AtomicBool>,
+    /// Where a connection reaches the listener (loopback when it is bound
+    /// to an unspecified address).
+    wake: SocketAddr,
+}
+
+impl ShutdownHandle {
+    /// Ask the server to stop, and wake its accept loop.
+    pub fn shutdown(&self) {
+        self.requested.store(true, Ordering::SeqCst);
+        // A blocked accept returns only for a connection. Once the server
+        // has stopped, the connect fails and there is nothing to wake.
+        let _ = TcpStream::connect_timeout(&self.wake, Duration::from_secs(1));
+    }
+
+    fn requested(&self) -> bool {
+        self.requested.load(Ordering::SeqCst)
+    }
+}
+
 /// A bound, not-yet-running daemon (see [`Server::run`]).
 pub struct Server {
     listener: TcpListener,
     queue: Arc<Queue>,
     cfg: ServerConfig,
-    shutdown: Arc<AtomicBool>,
+    stop: ShutdownHandle,
 }
 
 impl Server {
@@ -91,12 +138,21 @@ impl Server {
         }
         sim_obs::trace::set_enabled(true);
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
+        let mut wake = listener.local_addr()?;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         Ok(Server {
             listener,
             queue: Queue::new(cfg.queue_cap),
             cfg,
-            shutdown: Arc::new(AtomicBool::new(false)),
+            stop: ShutdownHandle {
+                requested: Arc::new(AtomicBool::new(false)),
+                wake,
+            },
         })
     }
 
@@ -110,14 +166,9 @@ impl Server {
         Arc::clone(&self.queue)
     }
 
-    /// A handle that makes [`Server::run`] return (the wire `shutdown` op
-    /// and the tests use this; SIGTERM/SIGINT work without it).
-    pub fn shutdown_handle(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.shutdown)
-    }
-
-    fn shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst) || signal::shutdown_requested()
+    /// A handle that makes [`Server::run`] return.
+    pub fn shutdown_handle(&self) -> ShutdownHandle {
+        self.stop.clone()
     }
 
     /// Serve until shutdown (wire op, handle, or SIGINT/SIGTERM), then
@@ -125,52 +176,45 @@ impl Server {
     /// `drain_timeout` for in-flight jobs, cancel stragglers, and flush
     /// the run ledger and the store.
     pub fn run(self) -> io::Result<()> {
-        signal::shutdown_flag();
-        let running = Arc::new(AtomicUsize::new(0));
+        let stop = self.stop.clone();
+        let _signals = signal::on_shutdown(move || stop.shutdown());
         let schedulers: Vec<_> = (0..self.cfg.active.max(1))
             .map(|i| {
                 let queue = Arc::clone(&self.queue);
-                let running = Arc::clone(&running);
                 std::thread::Builder::new()
                     .name(format!("sim-serve-sched-{i}"))
                     .spawn(move || {
                         while let Some(job) = queue.claim() {
-                            running.fetch_add(1, Ordering::SeqCst);
-                            let summary = drive(&job, &running);
+                            let summary = drive(&job, &queue);
                             queue.finish(&job, summary);
-                            running.fetch_sub(1, Ordering::SeqCst);
                         }
                     })
                     .expect("scheduler thread spawns")
             })
             .collect();
 
-        while !self.shutting_down() {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let queue = Arc::clone(&self.queue);
-                    let shutdown = Arc::clone(&self.shutdown);
-                    std::thread::Builder::new()
-                        .name("sim-serve-conn".to_string())
-                        .spawn(move || {
-                            let _ = handle_conn(stream, &queue, &shutdown);
-                        })
-                        .expect("connection thread spawns");
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(25));
-                }
-                Err(e) => return Err(e),
-            }
+        let handlers = Arc::new(Handlers {
+            pool: Mutex::new(Pool::default()),
+            queue: Arc::clone(&self.queue),
+            stop: self.stop.clone(),
+            max: self.cfg.max_connections(),
+        });
+        // One idle handler per job that can run at once, started before
+        // any job. glibc gives each new thread a malloc arena, the one a
+        // finished thread left free if there is one: a handler started
+        // after a simulation worker has exited takes over that worker's
+        // grown arena for good, and the next worker grows a new one
+        // (e2e-bench serve-mix peak RSS +20%).
+        for _ in 0..self.cfg.active.max(1) {
+            handlers.spawn(None).expect("handler thread spawns");
         }
+        let served = self.accept(&handlers);
+        handlers.stop();
 
         // Drain: no new admissions, queued jobs cancel now, in-flight jobs
         // get drain_timeout to finish before they are cancelled too.
         self.queue.close();
-        let deadline = Instant::now() + self.cfg.drain_timeout;
-        while running.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(20));
-        }
+        self.queue.wait_idle(self.cfg.drain_timeout);
         for job in self.queue.running() {
             job.request_cancel();
         }
@@ -181,7 +225,116 @@ impl Server {
         if let Some(store) = sim_store::global() {
             let _ = store.flush();
         }
-        Ok(())
+        served
+    }
+
+    fn accept(&self, handlers: &Arc<Handlers>) -> io::Result<()> {
+        loop {
+            let (stream, _) = self.listener.accept()?;
+            // Once shutdown is requested this is the wake connection, or a
+            // client that raced it; neither is served.
+            if self.stop.requested() {
+                return Ok(());
+            }
+            handlers.dispatch(stream);
+        }
+    }
+}
+
+/// The connection handler threads (see the module docs).
+struct Handlers {
+    pool: Mutex<Pool>,
+    queue: Arc<Queue>,
+    stop: ShutdownHandle,
+    max: usize,
+}
+
+#[derive(Default)]
+struct Pool {
+    /// Idle handlers, most recently idle last; each blocks on its channel.
+    idle: Vec<mpsc::Sender<TcpStream>>,
+    /// Connections being served.
+    live: usize,
+    stopped: bool,
+}
+
+impl Handlers {
+    fn lock(&self) -> MutexGuard<'_, Pool> {
+        // Every update leaves the pool valid, so a poisoned one still is.
+        self.pool.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Serve `stream` on the most recently idle handler, on a new one when
+    /// none is idle, or refuse it when `max` connections are being served.
+    fn dispatch(self: &Arc<Self>, stream: TcpStream) {
+        let mut pool = self.lock();
+        if pool.live >= self.max {
+            drop(pool);
+            let msg = format!("too many connections (at most {})", self.max);
+            let _ = send(&stream, &proto::error_line(&msg));
+            return;
+        }
+        pool.live += 1;
+        if let Some(idle) = pool.idle.pop() {
+            // A handler on the idle stack holds its receiver until it is
+            // sent to or the stack is cleared.
+            idle.send(stream)
+                .expect("an idle handler waits on its channel");
+            return;
+        }
+        drop(pool);
+        if self.spawn(Some(stream)).is_err() {
+            // The connection went down with the closure.
+            self.lock().live -= 1;
+        }
+    }
+
+    /// Start a handler thread that serves `first`, if any, and then waits
+    /// idle for the next connection. It is never joined: a busy handler
+    /// lives until its client hangs up, even past the server's stop.
+    fn spawn(self: &Arc<Self>, first: Option<TcpStream>) -> io::Result<()> {
+        let handlers = Arc::clone(self);
+        std::thread::Builder::new()
+            .name("sim-serve-conn".to_string())
+            .spawn(move || handlers.serve(first))
+            .map(drop)
+    }
+
+    /// A handler thread's life: serve connections until the server stops.
+    fn serve(&self, mut next: Option<TcpStream>) {
+        loop {
+            // Allocated first, so a handler started idle takes its malloc
+            // arena at once (see `Server::run`).
+            let (tx, rx) = mpsc::channel();
+            let served = next.take().inspect(|stream| {
+                let _ = handle_conn(stream, &self.queue, &self.stop);
+            });
+            {
+                let mut pool = self.lock();
+                if served.is_some() {
+                    pool.live -= 1;
+                }
+                if pool.stopped {
+                    return;
+                }
+                pool.idle.push(tx);
+            }
+            // Closed only once idle: a client that hangs up and reconnects
+            // at once then finds this handler free instead of spawning one.
+            drop(served);
+            match rx.recv() {
+                Ok(stream) => next = Some(stream),
+                Err(_) => return,
+            }
+        }
+    }
+
+    /// Idle handlers exit now (their channels close); busy ones exit when
+    /// their client hangs up.
+    fn stop(&self) {
+        let mut pool = self.lock();
+        pool.stopped = true;
+        pool.idle.clear();
     }
 }
 
@@ -193,7 +346,7 @@ const CHUNK_PER_WORKER: usize = 2;
 /// Execute one claimed job: chunked fan-out under the job's budget share,
 /// records drained and streamed at every chunk boundary. Returns the
 /// job's terminal summary.
-fn drive(job: &Arc<Job>, running: &AtomicUsize) -> Summary {
+fn drive(job: &Arc<Job>, queue: &Queue) -> Summary {
     let start = Instant::now();
     let sink = sim_obs::ledger::JobSink::new();
     let prev = sim_obs::ledger::install_job_sink(Some(sink.clone()));
@@ -208,7 +361,7 @@ fn drive(job: &Arc<Job>, running: &AtomicUsize) -> Summary {
             summary.state = "cancelled";
             break;
         }
-        let active = running.load(Ordering::SeqCst).max(1);
+        let active = queue.running_count().max(1);
         let share = (sim_exec::jobs() / active).max(1);
         let end = (next + share * CHUNK_PER_WORKER).min(n);
         let idxs: Vec<usize> = (next..end).collect();
@@ -249,7 +402,7 @@ fn stream_batch(job: &Job, sink: &sim_obs::ledger::JobSink, summary: &mut Summar
     job.push_records(lines);
 }
 
-fn send(stream: &mut TcpStream, line: &str) -> io::Result<()> {
+fn send(mut stream: &TcpStream, line: &str) -> io::Result<()> {
     stream.write_all(line.as_bytes())?;
     stream.write_all(b"\n")?;
     stream.flush()
@@ -310,12 +463,11 @@ fn read_request(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> io::Result<bool
 
 /// Serve one client connection until it closes (or a write fails — a gone
 /// client never cancels its job; results still land in the store).
-fn handle_conn(mut stream: TcpStream, queue: &Queue, shutdown: &AtomicBool) -> io::Result<()> {
-    stream.set_nonblocking(false)?;
+fn handle_conn(stream: &TcpStream, queue: &Queue, stop: &ShutdownHandle) -> io::Result<()> {
     // Control lines and record batches are small writes; without nodelay,
     // Nagle + delayed ACK stall each round-trip by tens of milliseconds.
     stream.set_nodelay(true)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut reader = BufReader::new(stream);
     let mut buf = Vec::new();
     loop {
         match read_request(&mut reader, &mut buf) {
@@ -324,49 +476,49 @@ fn handle_conn(mut stream: TcpStream, queue: &Queue, shutdown: &AtomicBool) -> i
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                 // The rest of an oversized line is never read: answer and
                 // hang up.
-                return send(&mut stream, &proto::error_line(&e.to_string()));
+                return send(stream, &proto::error_line(&e.to_string()));
             }
             Err(e) => return Err(e),
         }
         let Ok(line) = std::str::from_utf8(&buf) else {
-            send(&mut stream, &proto::error_line("request is not UTF-8"))?;
+            send(stream, &proto::error_line("request is not UTF-8"))?;
             continue;
         };
         if line.trim().is_empty() {
             continue;
         }
         match proto::parse_request(line) {
-            Err(e) => send(&mut stream, &proto::error_line(&e))?,
-            Ok(Request::Ping) => send(&mut stream, &proto::pong_line())?,
+            Err(e) => send(stream, &proto::error_line(&e))?,
+            Ok(Request::Ping) => send(stream, &proto::pong_line())?,
             Ok(Request::Shutdown) => {
-                send(&mut stream, &proto::ok_line())?;
-                shutdown.store(true, Ordering::SeqCst);
+                send(stream, &proto::ok_line())?;
+                stop.shutdown();
             }
             Ok(Request::Cancel { id }) => match queue.cancel(id) {
                 Ok(detail) => send(
-                    &mut stream,
+                    stream,
                     &format!(
                         "{{\"serve\":\"ok\",\"ok\":true,\"detail\":\"{}\"}}",
                         sim_obs::json::escape(detail)
                     ),
                 )?,
-                Err(e) => send(&mut stream, &proto::error_line(&e))?,
+                Err(e) => send(stream, &proto::error_line(&e))?,
             },
-            Ok(Request::Status { id }) => send(&mut stream, &status_line(queue, id))?,
+            Ok(Request::Status { id }) => send(stream, &status_line(queue, id))?,
             Ok(Request::Submit { job, stream: want }) => match queue.submit(job) {
-                Err(e) => send(&mut stream, &proto::error_line(&e))?,
+                Err(e) => send(stream, &proto::error_line(&e))?,
                 Ok(job) => {
-                    send(&mut stream, &proto::ack_line(job.id, job.plan.len()))?;
+                    send(stream, &proto::ack_line(job.id, job.plan.len()))?;
                     if want {
                         loop {
                             match job.next_event(Duration::from_millis(250)) {
                                 Some(Event::Records(lines)) => {
                                     for l in &lines {
-                                        send(&mut stream, l)?;
+                                        send(stream, l)?;
                                     }
                                 }
                                 Some(Event::Finished(summary)) => {
-                                    send(&mut stream, &summary.done_line(job.id))?;
+                                    send(stream, &summary.done_line(job.id))?;
                                     break;
                                 }
                                 None => {}

@@ -15,10 +15,9 @@
 
 use sim_obs::json::Json;
 use sim_serve::proto::{JobDesc, Request};
-use sim_serve::{Client, Server, ServerConfig};
+use sim_serve::{Client, Server, ServerConfig, ShutdownHandle};
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -39,20 +38,23 @@ fn store_dir() -> PathBuf {
 
 struct Daemon {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    shutdown: ShutdownHandle,
     handle: std::thread::JoinHandle<std::io::Result<()>>,
 }
 
-fn start(active: usize) -> Daemon {
-    let cfg = ServerConfig {
+fn config(active: usize) -> ServerConfig {
+    ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         jobs: 2,
         active,
         queue_cap: 8,
         drain_timeout: Duration::from_secs(10),
         store: Some(store_dir()),
-    };
-    let server = Server::bind(cfg).expect("daemon binds a loopback port");
+    }
+}
+
+fn start(active: usize) -> Daemon {
+    let server = Server::bind(config(active)).expect("daemon binds a loopback port");
     let addr = server.local_addr().expect("bound address");
     let shutdown = server.shutdown_handle();
     let handle = std::thread::spawn(move || server.run());
@@ -71,7 +73,7 @@ impl Daemon {
     /// Graceful stop via the shutdown handle (the wire op's path), then
     /// check the drained server exited cleanly and the store verifies.
     fn stop(self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.shutdown.shutdown();
         self.handle
             .join()
             .expect("server thread joins")
@@ -466,5 +468,80 @@ fn a_degenerate_spec_is_refused_and_the_next_job_still_runs() {
         .expect("the next job is admitted and completes");
     assert_eq!(out.state, "done");
     assert_eq!(out.records, 1);
+    d.stop();
+}
+
+#[test]
+fn fresh_connections_are_served_without_a_poll_delay() {
+    let _g = lock();
+    let d = start(1);
+    // Twenty connects in a closed loop, as `simctl` makes them: a polling
+    // accept loop adds its sleep to every one.
+    let t = Instant::now();
+    for _ in 0..20 {
+        d.client().ping().expect("ping on a fresh connection");
+    }
+    let took = t.elapsed();
+    assert!(
+        took < Duration::from_millis(250),
+        "20 fresh-connection pings took {took:?}"
+    );
+    d.stop();
+}
+
+#[test]
+fn shutdown_handle_stops_a_daemon_that_never_had_a_client() {
+    let _g = lock();
+    let d = start(1);
+    let t = Instant::now();
+    d.shutdown.shutdown();
+    d.handle
+        .join()
+        .expect("server thread joins")
+        .expect("server drains cleanly");
+    let took = t.elapsed();
+    assert!(
+        took < Duration::from_secs(2),
+        "an idle daemon took {took:?} to stop"
+    );
+}
+
+#[test]
+fn connections_past_the_cap_are_refused_and_the_daemon_recovers() {
+    let _g = lock();
+    let d = start(1);
+    let cap = config(1).max_connections();
+    // A ping answered on each held connection means a handler serves it.
+    let held: Vec<Client> = (0..cap)
+        .map(|i| {
+            let mut c = d.client();
+            c.ping()
+                .unwrap_or_else(|e| panic!("connection {i} of {cap} refused: {e}"));
+            c
+        })
+        .collect();
+    let reply = raw_request(d.addr, b"");
+    assert!(
+        reply.contains("\"serve\":\"error\"") && reply.contains("too many connections"),
+        "connection {} of {cap} must be refused: {reply:?}",
+        cap + 1
+    );
+
+    // Each handler frees its slot when it reads its client's hang-up, so
+    // the first connects after the close may still be refused.
+    drop(held);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut client = loop {
+        let mut c = d.client();
+        if c.ping().is_ok() {
+            break c;
+        }
+        assert!(Instant::now() < deadline, "no connection slot came free");
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    let out = client
+        .submit_streaming(&job(&["gzip"], &["runz:z=6k"]), |_| {})
+        .expect("a job runs after the held connections close");
+    assert_eq!((out.state.as_str(), out.records), ("done", 1));
     d.stop();
 }
